@@ -7,7 +7,6 @@
 #   scripts/check.sh            # both presets + emc-lint + docs
 #   scripts/check.sh default    # Release only (+ emc-lint + docs)
 #   scripts/check.sh sanitize   # sanitizers only (+ emc-lint + docs)
-#   scripts/check.sh tsan       # ThreadSanitizer (+ emc-lint + docs)
 #
 # Exits non-zero on the first configure/build/test/lint/docs failure.
 set -euo pipefail

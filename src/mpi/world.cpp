@@ -69,7 +69,7 @@ double World::run(const std::function<void(Comm&)>& body) {
     } catch (const sim::Killed&) {
       // Scripted rank crash: the rank simply stops existing at its
       // kill time. Survivors detect and recover through the ft layer;
-      // the dead rank's thread unwinds and finishes normally here.
+      // the dead rank's body unwinds and finishes normally here.
     }
     if (config_.trace != nullptr) {
       config_.trace->note_rank_done(proc.index(), proc.now());

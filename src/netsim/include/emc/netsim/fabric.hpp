@@ -2,7 +2,7 @@
 // computes message path timings in virtual time.
 //
 // All state is mutated only by the currently running simulated process
-// (the sim engine serializes process threads), so no locking is needed.
+// (the sim engine runs one process at a time), so no locking is needed.
 #pragma once
 
 #include <cstddef>

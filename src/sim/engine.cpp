@@ -1,13 +1,105 @@
 #include "emc/sim/engine.hpp"
 
+#include <cxxabi.h>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstring>
+#include <new>
 #include <utility>
+
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 #include "emc/common/timer.hpp"
 
 namespace emc::sim {
 
+/// Host execution context of a process, or of the caller of run().
+struct Fiber {
+  // Every process stack is the 8 MiB a rank's host thread had, above a
+  // guard page; MAP_NORESERVE makes only the pages a rank touches resident.
+  static constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+  static inline const auto kGuardBytes =
+      static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  // libstdc++'s per-thread exception state (abi::__cxa_eh_globals: caught
+  // exceptions, uncaught count); each fiber keeps its own, swapped on switch.
+  struct EhGlobals {
+    void* caught;
+    unsigned int uncaught;
+  };
+
+  Fiber() = default;
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+  ~Fiber() { if (map != nullptr) munmap(map, kGuardBytes + kStackBytes); }
+
+  ucontext_t ctx{};
+  EhGlobals eh{};
+  char* map = nullptr;  ///< guard page + stack; null for run()'s caller
+  // AddressSanitizer's view of the stack.
+  void* fake_stack = nullptr;
+  const void* bottom = nullptr;
+  std::size_t size = 0;
+};
+
+namespace {
+// The engine inside run() on this thread: makecontext passes only ints.
+thread_local Engine* current = nullptr;
+
+#ifdef __SANITIZE_ADDRESS__
+thread_local Fiber* switched_from = nullptr;
+void start_switch(Fiber& from, Fiber& to, bool from_done) {
+  switched_from = &from;
+  __sanitizer_start_switch_fiber(from_done ? nullptr : &from.fake_stack,
+                                 to.bottom, to.size);
+}
+void landed(Fiber& self) {
+  __sanitizer_finish_switch_fiber(self.fake_stack, &switched_from->bottom,
+                                  &switched_from->size);
+}
+#else
+void start_switch(Fiber&, Fiber&, bool) {}
+void landed(Fiber&) {}
+#endif
+
+/// Moves the thread from @p from to @p to; returns once something
+/// switches back. @p from_done: @p from has finished for good.
+void switch_fiber(Fiber& from, Fiber& to, bool from_done) {
+  auto* globals = abi::__cxa_get_globals();
+  std::memcpy(&from.eh, globals, sizeof(Fiber::EhGlobals));
+  std::memcpy(globals, &to.eh, sizeof(Fiber::EhGlobals));
+  start_switch(from, to, from_done);
+  swapcontext(&from.ctx, &to.ctx);
+  landed(from);
+}
+
+/// SplitMix64 finalizer: bijective, so distinct sequence numbers keep
+/// distinct (but permuted) tie-break keys under any salt.
+std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+}  // namespace
+
 // ---------------------------------------------------------------- Process
+
+Process::Process(Engine& engine, int index)
+    : engine_(&engine), index_(index), fiber_(std::make_unique<Fiber>()) {
+  void* map = mmap(nullptr, Fiber::kGuardBytes + Fiber::kStackBytes,
+                   PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS |
+                   MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (map == MAP_FAILED) throw std::bad_alloc();
+  fiber_->map = static_cast<char*>(map);
+  if (mprotect(map, Fiber::kGuardBytes, PROT_NONE) != 0) throw std::bad_alloc();
+}
+
+Process::~Process() = default;
 
 Time Process::now() const noexcept { return engine_->now(); }
 
@@ -21,15 +113,18 @@ double Process::charge_scale() const noexcept {
   return engine_->charge_scale();
 }
 
-void Process::wait(Waitable& w) { engine_->proc_wait(*this, w); }
+void Process::wait(Waitable& w) {
+  (void)engine_->proc_wait_for(*this, w,
+                               std::numeric_limits<Time>::infinity());
+}
 
 bool Process::wait_for(Waitable& w, Time timeout) {
   return engine_->proc_wait_for(*this, w, timeout);
 }
 
-void Process::notify_one(Waitable& w) { engine_->proc_notify(*this, w, false); }
+void Process::notify_one(Waitable& w) { engine_->proc_notify(w, false); }
 
-void Process::notify_all(Waitable& w) { engine_->proc_notify(*this, w, true); }
+void Process::notify_all(Waitable& w) { engine_->proc_notify(w, true); }
 
 double Process::charge(const std::function<void()>& work, double scale) {
   // EMC_LINT_ALLOW(det-clock): measurement-mode billing — host time is
@@ -48,7 +143,7 @@ double Process::charge(const std::function<void()>& work, double scale) {
 
 // ----------------------------------------------------------------- Engine
 
-Engine::Engine(int num_processes) {
+Engine::Engine(int num_processes) : host_(std::make_unique<Fiber>()) {
   procs_.reserve(static_cast<std::size_t>(num_processes));
   for (int i = 0; i < num_processes; ++i) {
     procs_.emplace_back(std::unique_ptr<Process>(new Process(*this, i)));
@@ -57,54 +152,34 @@ Engine::Engine(int num_processes) {
 
 Engine::~Engine() = default;
 
-namespace {
-/// SplitMix64 finalizer: bijective, so distinct sequence numbers keep
-/// distinct (but permuted) tie-break keys under any salt.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-}  // namespace
-
-void Engine::schedule_locked(Process& p, Time at) {
+void Engine::schedule(Process& p, Time at) {
   const std::uint64_t seq = seq_++;
   const std::uint64_t order =
       tiebreak_salt_ == 0 ? seq : mix64(seq ^ tiebreak_salt_);
   ready_.push(HeapEntry{std::max(at, clock_), order, &p, p.wake_epoch_});
 }
 
-void Engine::check_abort_locked() const {
+void Engine::check_abort() const {
   if (aborted_) throw Aborted{};
 }
 
-void Engine::check_kill_locked(const Process& self) const {
+void Engine::check_kill(const Process& self) const {
   if (clock_ >= self.kill_at_) throw Killed{self.index_, self.kill_at_};
 }
 
-void Engine::grant_next_locked() {
-  while (!ready_.empty()) {
+Process* Engine::next_runnable() {
+  while (!aborted_ && !ready_.empty()) {
     const HeapEntry next = ready_.top();
     ready_.pop();
-    // Stale entries can remain after an abort teardown woke the
-    // process directly, or when a wait_for was both notified and
+    // Stale entries remain when a wait_for was both notified and
     // scheduled a timeout wake-up (the loser keeps the old epoch);
-    // skip anything finished, granted, or from a previous epoch.
-    if (next.proc->done_ || next.proc->granted_ ||
-        next.epoch != next.proc->wake_epoch_) {
-      continue;
-    }
+    // skip them and anything already finished.
+    if (next.proc->done_ || next.epoch != next.proc->wake_epoch_) continue;
     clock_ = std::max(clock_, next.at);
     ++next.proc->wake_epoch_;
-    next.proc->granted_ = true;
-    next.proc->cv_.notify_one();
-    return;
+    return next.proc;
   }
-  if (unfinished_ == 0) {
-    main_cv_.notify_all();
-    return;
-  }
+  if (unfinished_ == 0) return nullptr;
   if (!aborted_) {
     // Every unfinished process is parked on a Waitable and nothing is
     // scheduled: nobody can ever make progress.
@@ -124,171 +199,108 @@ void Engine::grant_next_locked() {
     first_error_ = std::make_exception_ptr(Deadlock(what));
     aborted_ = true;
   }
-  // Abort teardown: wake every parked process so it unwinds.
+  // Abort teardown: resume the unfinished processes one at a time; each
+  // unwinds with Aborted and, when it finishes, resumes the next.
   for (auto& p : procs_) {
-    if (!p->done_ && !p->granted_) {
-      p->granted_ = true;
-      p->cv_.notify_one();
+    if (!p->done_) return p.get();
+  }
+  return nullptr;
+}
+
+void Engine::block(Process& self, bool finished) {
+  Process* next = next_runnable();
+  if (next != &self) {
+    switch_fiber(*self.fiber_, next != nullptr ? *next->fiber_ : *host_,
+                 finished);
+  }
+  check_abort();
+}
+
+void Engine::fiber_main(int index) {
+  Engine& e = *current;
+  Process& self = *e.procs_[static_cast<std::size_t>(index)];
+  landed(*self.fiber_);
+  if (!e.aborted_) {
+    try {
+      (*e.body_)(self);
+    } catch (const Aborted&) {
+      // unwound by teardown; not an error in itself
+    } catch (...) {
+      if (!e.first_error_) e.first_error_ = std::current_exception();
+      e.aborted_ = true;
     }
   }
-}
-
-void Engine::block_self_locked(Process& self, Lock& lk) {
-  self.cv_.wait(lk, [&] { return self.granted_; });
-  self.granted_ = false;
-  check_abort_locked();
-}
-
-void Engine::finish_locked(Process& self, Lock&) {
   self.done_ = true;
-  --unfinished_;
-  if (unfinished_ == 0) {
-    main_cv_.notify_all();
-  } else {
-    grant_next_locked();
-  }
+  --e.unfinished_;
+  e.block(self, true);  // never returns
 }
 
 void Engine::proc_advance(Process& self, Time dt) {
-  Lock lk(mu_);
-  check_abort_locked();
-  check_kill_locked(self);
+  check_abort();
+  check_kill(self);
   // Compute that would cross the kill time is capped at it: the rank
   // dies at exactly kill_at_, not after finishing the burst.
-  schedule_locked(self,
-                  std::min(clock_ + std::max(dt, 0.0), self.kill_at_));
-  grant_next_locked();
-  block_self_locked(self, lk);
-  check_kill_locked(self);
-}
-
-void Engine::proc_wait(Process& self, Waitable& w) {
-  Lock lk(mu_);
-  check_abort_locked();
-  check_kill_locked(self);
-  w.waiters_.push_back(&self);
-  ++waiting_on_conditions_;
-  if (self.kill_at_ != std::numeric_limits<Time>::infinity()) {
-    // A doomed process must not park forever: wake it at its kill
-    // time so it can die. If a notify wins first, the grant's epoch
-    // bump makes this entry stale (the wait_for mechanism).
-    schedule_locked(self, self.kill_at_);
-  }
-  grant_next_locked();
-  block_self_locked(self, lk);
-  if (clock_ >= self.kill_at_) {
-    const auto it = std::find(w.waiters_.begin(), w.waiters_.end(), &self);
-    if (it != w.waiters_.end()) {
-      w.waiters_.erase(it);
-      --waiting_on_conditions_;
-    }
-    throw Killed{self.index_, self.kill_at_};
-  }
+  schedule(self, std::min(clock_ + std::max(dt, 0.0), self.kill_at_));
+  block(self, false);
+  check_kill(self);
 }
 
 bool Engine::proc_wait_for(Process& self, Waitable& w, Time timeout) {
-  Lock lk(mu_);
-  check_abort_locked();
-  check_kill_locked(self);
+  check_abort();
+  check_kill(self);
   w.waiters_.push_back(&self);
-  ++waiting_on_conditions_;
-  // Also schedule a timeout wake-up; whichever fires first wins and
-  // the loser's heap entry goes stale via the epoch bump on grant.
-  // A kill time before the timeout takes the wake-up slot instead.
-  schedule_locked(
-      self, std::min(clock_ + std::max(timeout, 0.0), self.kill_at_));
-  grant_next_locked();
-  block_self_locked(self, lk);
+  // Also schedule a timeout wake-up; whichever fires first wins and the
+  // loser's entry goes stale via the epoch bump on grant. An earlier kill
+  // time takes the slot instead: a doomed process never parks forever.
+  const Time wake = std::min(clock_ + std::max(timeout, 0.0), self.kill_at_);
+  if (wake != std::numeric_limits<Time>::infinity()) schedule(self, wake);
+  block(self, false);
   const auto it = std::find(w.waiters_.begin(), w.waiters_.end(), &self);
-  if (clock_ >= self.kill_at_) {
-    if (it != w.waiters_.end()) {
-      w.waiters_.erase(it);
-      --waiting_on_conditions_;
-    }
-    throw Killed{self.index_, self.kill_at_};
-  }
-  if (it == w.waiters_.end()) return true;  // a notify released us first
-  w.waiters_.erase(it);
-  --waiting_on_conditions_;
-  return false;  // timed out
+  const bool notified = it == w.waiters_.end();  // a notify released us
+  if (!notified) w.waiters_.erase(it);
+  check_kill(self);
+  return notified;
 }
 
-void Engine::proc_notify(Process& self, Waitable& w, bool all) {
-  Lock lk(mu_);
-  check_abort_locked();
-  (void)self;
+void Engine::proc_notify(Waitable& w, bool all) {
+  check_abort();
   while (!w.waiters_.empty()) {
     Process* waiter = w.waiters_.front();
     w.waiters_.erase(w.waiters_.begin());
-    --waiting_on_conditions_;
-    schedule_locked(*waiter, clock_);
+    schedule(*waiter, clock_);
     if (!all) break;
   }
-  // The notifier keeps the execution token; released waiters run when
-  // it next blocks.
+  // The notifier keeps running; released waiters run once it blocks.
 }
 
 Time Engine::run(const std::function<void(Process&)>& body) {
-  {
-    Lock lk(mu_);
-    aborted_ = false;
-    first_error_ = nullptr;
-    waiting_on_conditions_ = 0;
-    unfinished_ = static_cast<int>(procs_.size());
-    for (auto& p : procs_) {
-      p->done_ = false;
-      p->granted_ = false;
-      schedule_locked(*p, clock_);
-    }
-  }
-
+  aborted_ = false;
+  first_error_ = nullptr;
+  unfinished_ = static_cast<int>(procs_.size());
+  body_ = &body;
   for (auto& p : procs_) {
-    Process* proc = p.get();
-    proc->thread_ = std::thread([this, proc, &body] {
-      {
-        Lock lk(mu_);
-        proc->cv_.wait(lk, [&] { return proc->granted_; });
-        proc->granted_ = false;
-        if (aborted_) {
-          finish_locked(*proc, lk);
-          return;
-        }
-      }
-      try {
-        body(*proc);
-      } catch (const Aborted&) {
-        // unwound by teardown; not an error in itself
-      } catch (...) {
-        Lock lk(mu_);
-        if (!first_error_) first_error_ = std::current_exception();
-        aborted_ = true;
-        for (auto& q : procs_) {
-          if (!q->done_ && q.get() != proc && !q->granted_) {
-            q->granted_ = true;
-            q->cv_.notify_one();
-          }
-        }
-      }
-      Lock lk(mu_);
-      finish_locked(*proc, lk);
-    });
+    // Every run restarts each fiber at the top of its own stack.
+    Fiber& f = *p->fiber_;
+    getcontext(&f.ctx);
+    f.bottom = f.ctx.uc_stack.ss_sp = f.map + Fiber::kGuardBytes;
+    f.size = f.ctx.uc_stack.ss_size = Fiber::kStackBytes;
+    makecontext(&f.ctx, reinterpret_cast<void (*)()>(&Engine::fiber_main), 1,
+                p->index_);
+    f.fake_stack = nullptr;
+    p->done_ = false;
+    schedule(*p, clock_);
   }
 
-  {
-    Lock lk(mu_);
-    grant_next_locked();
-    main_cv_.wait(lk, [&] { return unfinished_ == 0; });
+  Engine* const outer = std::exchange(current, this);
+  if (Process* first = next_runnable()) {
+    switch_fiber(*host_, *first->fiber_, false);
   }
-  for (auto& p : procs_) {
-    if (p->thread_.joinable()) p->thread_.join();
-  }
+  current = outer;
 
-  Lock lk(mu_);
   // Drain any leftover heap entries from an aborted run.
   while (!ready_.empty()) ready_.pop();
   if (first_error_) {
-    auto err = std::exchange(first_error_, nullptr);
-    std::rethrow_exception(err);
+    std::rethrow_exception(std::exchange(first_error_, nullptr));
   }
   return clock_;
 }

@@ -1,10 +1,10 @@
 // Virtual-time discrete-event engine with cooperative processes.
 //
-// Each simulated process (an MPI rank in this project) runs on its own
-// host thread, but the engine guarantees that EXACTLY ONE process
-// thread executes at any instant: whenever the running process blocks
-// (advance / wait), the scheduler hands the execution token to the
-// ready process with the smallest virtual wake-up time. This gives
+// Each simulated process (an MPI rank in this project) is a fiber with
+// its own stack, all on the host thread that called Engine::run, so
+// EXACTLY ONE process executes at any instant: whenever it blocks
+// (advance / wait), the scheduler switches straight to the ready
+// process with the smallest virtual wake-up time. This gives
 //   * deterministic virtual-time semantics independent of host core
 //     count (the build host may have a single core; the simulated
 //     cluster can have hundreds), and
@@ -12,21 +12,17 @@
 //     on the host and bills that duration to the virtual clock without
 //     interference from other simulated ranks.
 //
-// The model is sequential DES with threads as continuations — the same
+// The model is sequential DES with fibers as continuations — the same
 // execution style SimGrid's SMPI uses for its actor contexts.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace emc::sim {
@@ -36,9 +32,10 @@ using Time = double;
 
 class Engine;
 class Process;
+struct Fiber;  // a process's host context and stack (engine.cpp)
 
 /// Thrown inside process bodies when the simulation is being torn
-/// down after another process failed; unwinds the thread.
+/// down after another process failed; unwinds the process.
 struct Aborted : std::runtime_error {
   Aborted() : std::runtime_error("simulation aborted") {}
 };
@@ -49,7 +46,7 @@ struct Deadlock : std::runtime_error {
   explicit Deadlock(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Thrown on a process's own thread the first time it would run at or
+/// Thrown inside a process the first time it would run at or
 /// after its armed kill time (Engine::set_kill_time) — the rank-crash
 /// fault primitive. Deliberately NOT derived from std::exception:
 /// application-level `catch (const std::exception&)` recovery must not
@@ -74,14 +71,14 @@ class Waitable {
 
  private:
   friend class Engine;
-  friend class Process;
   std::vector<Process*> waiters_;
 };
 
 /// Handle a process body uses to interact with virtual time.
-/// Only valid on its own thread, during Engine::run.
+/// Only valid inside its own body, during Engine::run.
 class Process {
  public:
+  ~Process();
   [[nodiscard]] int index() const noexcept { return index_; }
 
   /// Current virtual time.
@@ -106,8 +103,8 @@ class Process {
 
   /// Runs @p work on the host, measures its wall-clock duration, and
   /// advances the virtual clock by duration * scale *
-  /// engine.charge_scale(). Returns the measured seconds. Because the
-  /// engine serializes process threads the measurement is uncontended.
+  /// engine.charge_scale(). Returns the measured seconds. Only one
+  /// process runs at a time, so the measurement is uncontended.
   double charge(const std::function<void()>& work, double scale = 1.0);
 
   /// Yields without consuming time (reschedules at `now`); lets other
@@ -119,14 +116,11 @@ class Process {
 
  private:
   friend class Engine;
-  explicit Process(Engine& engine, int index)
-      : engine_(&engine), index_(index) {}
+  Process(Engine& engine, int index);
 
   Engine* engine_;
   int index_;
-  // Host-thread handoff state, guarded by the engine mutex.
-  std::condition_variable cv_;
-  bool granted_ = false;
+  std::unique_ptr<Fiber> fiber_;
   bool done_ = false;
   /// Bumped every time the process is granted the execution token;
   /// heap entries carrying an older epoch are stale (e.g. the unused
@@ -135,7 +129,6 @@ class Process {
   /// Virtual time at which this process is permanently killed
   /// (infinity = never). See Engine::set_kill_time.
   Time kill_at_ = std::numeric_limits<Time>::infinity();
-  std::thread thread_;
 };
 
 /// The simulation engine. Construct with the number of processes,
@@ -190,8 +183,8 @@ class Engine {
 
   /// Installs an observer invoked after every Process::charge bills
   /// the virtual clock, with (process index, virtual begin, virtual
-  /// end) of the billed interval. Observation only: runs on the
-  /// charging process thread after the advance completed and must not
+  /// end) of the billed interval. Observation only: runs inside the
+  /// charging process after the advance completed and must not
   /// call back into the scheduling API. Used by the tracing layer to
   /// attribute charged compute/crypto time; pass an empty function to
   /// uninstall. Set it before run().
@@ -202,8 +195,8 @@ class Engine {
   /// Installs a callback invoked when the engine detects a global
   /// deadlock (every live process parked on a Waitable, empty event
   /// queue); its return value is appended to the sim::Deadlock
-  /// message. Runs on a process thread with the scheduler lock held:
-  /// it must not call back into this engine's scheduling API (reading
+  /// message. Runs inside the last process to block: it must not
+  /// call back into this engine's scheduling API (reading
   /// now()/size() is fine). Exceptions it throws are swallowed.
   void set_deadlock_explainer(std::function<std::string()> explainer) {
     deadlock_explainer_ = std::move(explainer);
@@ -211,7 +204,7 @@ class Engine {
 
   /// Arms a permanent crash of process @p index: the first time that
   /// process would run at or after virtual time @p at, sim::Killed is
-  /// thrown on its thread instead (compute that would cross the kill
+  /// thrown in it instead (compute that would cross the kill
   /// time is capped at it, and a parked process is woken at the kill
   /// time to die). Pass infinity to disarm. Set before run(); kill
   /// times persist across runs until overwritten.
@@ -223,10 +216,8 @@ class Engine {
   }
 
   /// True once the current run began tearing down after an error or
-  /// deadlock (process bodies unwind concurrently from that point).
-  [[nodiscard]] bool aborted() const noexcept {
-    return aborted_.load(std::memory_order_relaxed);
-  }
+  /// deadlock (process bodies unwind one by one from that point).
+  [[nodiscard]] bool aborted() const noexcept { return aborted_; }
 
  private:
   friend class Process;
@@ -241,31 +232,28 @@ class Engine {
     }
   };
 
-  using Lock = std::unique_lock<std::mutex>;
-
-  // All *_locked functions require mu_ held.
-  void schedule_locked(Process& p, Time at);
-  void grant_next_locked();
-  void block_self_locked(Process& self, Lock& lk);
-  void finish_locked(Process& self, Lock& lk);
-  void check_abort_locked() const;
-  void check_kill_locked(const Process& self) const;
+  void schedule(Process& p, Time at);
+  /// Pops the next process to run (nullptr: back to run()); detects deadlock.
+  Process* next_runnable();
+  /// Runs others until @p self is picked again (never, if @p finished).
+  void block(Process& self, bool finished);
+  void check_abort() const;
+  void check_kill(const Process& self) const;
+  static void fiber_main(int index);
 
   void proc_advance(Process& self, Time dt);
-  void proc_wait(Process& self, Waitable& w);
   bool proc_wait_for(Process& self, Waitable& w, Time timeout);
-  void proc_notify(Process& self, Waitable& w, bool all);
+  void proc_notify(Waitable& w, bool all);
 
-  mutable std::mutex mu_;
-  std::condition_variable main_cv_;
   std::vector<std::unique_ptr<Process>> procs_;
+  std::unique_ptr<Fiber> host_;  ///< context of the caller of run()
+  const std::function<void(Process&)>* body_ = nullptr;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
       ready_;
   Time clock_ = 0.0;
   std::uint64_t seq_ = 0;
   int unfinished_ = 0;
-  int waiting_on_conditions_ = 0;
-  std::atomic<bool> aborted_{false};
+  bool aborted_ = false;
   double charge_scale_ = 1.0;
   std::uint64_t tiebreak_salt_ = 0;
   std::function<std::string()> deadlock_explainer_;

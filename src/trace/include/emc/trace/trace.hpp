@@ -86,8 +86,8 @@ struct Event {
 };
 
 /// Per-rank virtual-time span recorder. All mutation happens on the
-/// currently running simulated process (the engine serializes rank
-/// threads), so no locking is needed — the same invariant the
+/// currently running simulated process (the engine runs one rank at a
+/// time), so no locking is needed — the same invariant the
 /// mailboxes rely on. Construct with the world's rank count and
 /// attach via mpi::WorldConfig::trace.
 class TraceRecorder {

@@ -17,15 +17,13 @@
 //   * unmatched messages    — eager envelopes and posted receives
 //     still sitting in a mailbox at the end of a run.
 //
-// All hooks are invoked from the currently running simulated process
-// (engine-serialized), except request-teardown hooks which may run
-// concurrently during abort unwinding — recording is mutex-guarded.
+// All hooks run on the engine's host thread, from the currently
+// running simulated process (abort unwinding included), so no locking.
 // Hooks never advance virtual time, so enabling verification does not
 // change the schedule: a verified run replays the unverified one.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -117,7 +115,7 @@ class Verifier {
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
-  /// Snapshot of everything recorded so far (thread-safe copy).
+  /// Snapshot of everything recorded so far.
   [[nodiscard]] std::vector<Diagnostic> diagnostics() const;
   [[nodiscard]] std::size_t error_count() const;
   /// True when no error-severity diagnostic has been recorded.
@@ -235,12 +233,11 @@ class Verifier {
   Config config_;
   sim::Engine* engine_;
 
-  mutable std::mutex mu_;  ///< guards diagnostics_ (teardown may race)
   std::vector<Diagnostic> diagnostics_;
   std::size_t errors_ = 0;
   std::size_t pending_throw_ = 0;  ///< errors recorded but not yet thrown
 
-  // Per-run state; only touched by the running process (serialized).
+  // Per-run state.
   std::vector<std::optional<BlockInfo>> blocked_;
   std::unordered_map<std::uint64_t, ReqRecord> inflight_;
   std::unordered_map<std::uint64_t, CollRecord> collectives_;

@@ -101,18 +101,11 @@ Verifier::Verifier(const Config& config, sim::Engine& engine)
   blocked_.resize(static_cast<std::size_t>(engine_->size()));
 }
 
-std::vector<Diagnostic> Verifier::diagnostics() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return diagnostics_;
-}
+std::vector<Diagnostic> Verifier::diagnostics() const { return diagnostics_; }
 
-std::size_t Verifier::error_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return errors_;
-}
+std::size_t Verifier::error_count() const { return errors_; }
 
 void Verifier::begin_run() {
-  std::lock_guard<std::mutex> lk(mu_);
   std::fill(blocked_.begin(), blocked_.end(), std::nullopt);
   inflight_.clear();
   collectives_.clear();
@@ -120,58 +113,41 @@ void Verifier::begin_run() {
 
 void Verifier::record(Diagnostic d, bool throwable) {
   bool do_throw = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (d.severity == Severity::kError) {
-      ++errors_;
-      do_throw = throwable && config_.fail_fast;
-      if (!do_throw) ++pending_throw_;
-    }
-    if (diagnostics_.size() < config_.max_diagnostics) {
-      diagnostics_.push_back(d);
-    }
+  if (d.severity == Severity::kError) {
+    ++errors_;
+    do_throw = throwable && config_.fail_fast;
+    if (!do_throw) ++pending_throw_;
+  }
+  if (diagnostics_.size() < config_.max_diagnostics) {
+    diagnostics_.push_back(d);
   }
   if (do_throw) throw VerifyError(std::move(d));
 }
 
 void Verifier::finish_run() {
-  Diagnostic pending;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!config_.fail_fast || pending_throw_ == 0) return;
-    pending_throw_ = 0;
-    const auto it =
-        std::find_if(diagnostics_.begin(), diagnostics_.end(),
-                     [](const Diagnostic& d) {
-                       return d.severity == Severity::kError;
-                     });
-    if (it == diagnostics_.end()) return;
-    pending = *it;
-  }
-  throw VerifyError(std::move(pending));
+  if (!config_.fail_fast || pending_throw_ == 0) return;
+  pending_throw_ = 0;
+  const auto it = std::find_if(
+      diagnostics_.begin(), diagnostics_.end(),
+      [](const Diagnostic& d) { return d.severity == Severity::kError; });
+  if (it == diagnostics_.end()) return;
+  throw VerifyError(*it);
 }
 
 // ------------------------------------------------------------ wait graph
 
 void Verifier::on_block(int rank, const BlockInfo& info) {
-  std::lock_guard<std::mutex> lk(mu_);
   blocked_.at(static_cast<std::size_t>(rank)) = info;
 }
 
 void Verifier::on_unblock(int rank) {
-  std::lock_guard<std::mutex> lk(mu_);
   blocked_.at(static_cast<std::size_t>(rank)).reset();
 }
 
 std::string Verifier::explain_deadlock() {
-  // Called by the engine (under its scheduler lock) when every live
-  // process is parked, so the block table is frozen; snapshot it and
-  // do the graph walk lock-free.
-  std::vector<std::optional<BlockInfo>> blocked;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    blocked = blocked_;
-  }
+  // Called by the engine when every live process is parked, so the
+  // block table is frozen.
+  const std::vector<std::optional<BlockInfo>>& blocked = blocked_;
   const int n = static_cast<int>(blocked.size());
 
   // Follow each rank's unique wait-for successor (a wildcard receive
@@ -220,10 +196,7 @@ std::string Verifier::explain_deadlock() {
   d.message = os.str();
   // Never throw here: the engine raises sim::Deadlock with this text.
   record(std::move(d), /*throwable=*/false);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (pending_throw_ > 0) --pending_throw_;  // Deadlock supersedes it
-  }
+  if (pending_throw_ > 0) --pending_throw_;  // Deadlock supersedes it
   return os.str();
 }
 
@@ -242,53 +215,44 @@ std::uint64_t Verifier::on_request_start(int rank, ReqKind kind, int peer,
   rec.len = len;
   if (kind == ReqKind::kSend) rec.checksum = fnv1a(data, len);
 
-  std::uint64_t id = 0;
+  const std::uint64_t id = next_req_id_++;
   Diagnostic overlap;
   bool have_overlap = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    id = next_req_id_++;
-    if (kind == ReqKind::kRecv && len > 0) {
-      for (const auto& [other_id, other] : inflight_) {
-        if (other.rank != rank || other.kind != ReqKind::kRecv ||
-            other.len == 0) {
-          continue;
-        }
-        const auto a = reinterpret_cast<std::uintptr_t>(data);
-        const auto b = reinterpret_cast<std::uintptr_t>(other.data);
-        if (a < b + other.len && b < a + len) {
-          overlap.check = Check::kOverlappingReceives;
-          overlap.severity = Severity::kError;
-          overlap.ranks = {rank};
-          overlap.time = engine_->now();
-          overlap.message =
-              "irecv(src=" + peer_label(peer) + ", tag " + tag_label(tag) +
-              ", " + std::to_string(len) +
-              "B) overlaps the in-flight irecv(src=" +
-              peer_label(other.peer) + ", tag " + tag_label(other.tag) +
-              ", " + std::to_string(other.len) +
-              "B) posted by the same rank";
-          have_overlap = true;
-          break;
-        }
+  if (kind == ReqKind::kRecv && len > 0) {
+    for (const auto& [other_id, other] : inflight_) {
+      if (other.rank != rank || other.kind != ReqKind::kRecv ||
+          other.len == 0) {
+        continue;
+      }
+      const auto a = reinterpret_cast<std::uintptr_t>(data);
+      const auto b = reinterpret_cast<std::uintptr_t>(other.data);
+      if (a < b + other.len && b < a + len) {
+        overlap.check = Check::kOverlappingReceives;
+        overlap.severity = Severity::kError;
+        overlap.ranks = {rank};
+        overlap.time = engine_->now();
+        overlap.message =
+            "irecv(src=" + peer_label(peer) + ", tag " + tag_label(tag) +
+            ", " + std::to_string(len) +
+            "B) overlaps the in-flight irecv(src=" + peer_label(other.peer) +
+            ", tag " + tag_label(other.tag) + ", " +
+            std::to_string(other.len) + "B) posted by the same rank";
+        have_overlap = true;
+        break;
       }
     }
-    inflight_.emplace(id, rec);
   }
+  inflight_.emplace(id, rec);
   if (have_overlap) record(std::move(overlap), /*throwable=*/true);
   return id;
 }
 
 void Verifier::on_request_finish(std::uint64_t id, ReqFinish finish) {
   if (id == 0) return;
-  ReqRecord rec;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = inflight_.find(id);
-    if (it == inflight_.end()) return;
-    rec = it->second;
-    inflight_.erase(it);
-  }
+  const auto it = inflight_.find(id);
+  if (it == inflight_.end()) return;
+  const ReqRecord rec = it->second;
+  inflight_.erase(it);
   if (finish == ReqFinish::kDropped) return;
 
   const char* kind_name = rec.kind == ReqKind::kSend ? "isend" : "irecv";
@@ -337,69 +301,66 @@ void Verifier::on_collective(int rank, std::uint64_t seq, CollKind kind,
 
   Diagnostic d;
   bool mismatch = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto [it, fresh] = collectives_.try_emplace(seq);
-    CollRecord& rec = it->second;
-    if (fresh) {
-      rec.first_rank = rank;
-      rec.kind = kind;
-      rec.root = root;
-      if (kind == CollKind::kBcast && rank != root) {
+  const auto [it, fresh] = collectives_.try_emplace(seq);
+  CollRecord& rec = it->second;
+  if (fresh) {
+    rec.first_rank = rank;
+    rec.kind = kind;
+    rec.root = root;
+    if (kind == CollKind::kBcast && rank != root) {
+      rec.min_cap = bytes;
+      rec.min_cap_rank = rank;
+    } else {
+      rec.bytes = bytes;
+      rec.root_seen = kind != CollKind::kBcast || rank == root;
+      rec.min_cap = ~std::size_t{0};
+    }
+  } else if (!rec.mismatched) {
+    const auto report = [&](const std::string& what) {
+      d.check = Check::kCollectiveMismatch;
+      d.severity = Severity::kError;
+      d.time = engine_->now();
+      d.message = "collective #" + std::to_string(seq) + ": " + what;
+      rec.mismatched = true;
+      mismatch = true;
+    };
+    if (kind != rec.kind) {
+      d.ranks = {rank, rec.first_rank};
+      report("rank " + std::to_string(rank) + " called " +
+             to_string(kind) + " but rank " +
+             std::to_string(rec.first_rank) + " called " +
+             to_string(rec.kind));
+    } else if (root != rec.root) {
+      d.ranks = {rank, rec.first_rank};
+      report("rank " + std::to_string(rank) + " called " +
+             to_string(kind) + " with root " + std::to_string(root) +
+             " but rank " + std::to_string(rec.first_rank) +
+             " used root " + std::to_string(rec.root));
+    } else if (kind == CollKind::kBcast) {
+      // Non-root capacity may exceed the root payload, but never
+      // undercut it; cross-check lazily once both sides are known.
+      if (rank == root) {
+        rec.bytes = bytes;
+        rec.root_seen = true;
+      } else if (bytes < rec.min_cap || rec.min_cap_rank < 0) {
         rec.min_cap = bytes;
         rec.min_cap_rank = rank;
-      } else {
-        rec.bytes = bytes;
-        rec.root_seen = kind != CollKind::kBcast || rank == root;
-        rec.min_cap = ~std::size_t{0};
       }
-    } else if (!rec.mismatched) {
-      const auto report = [&](const std::string& what) {
-        d.check = Check::kCollectiveMismatch;
-        d.severity = Severity::kError;
-        d.time = engine_->now();
-        d.message = "collective #" + std::to_string(seq) + ": " + what;
-        rec.mismatched = true;
-        mismatch = true;
-      };
-      if (kind != rec.kind) {
-        d.ranks = {rank, rec.first_rank};
-        report("rank " + std::to_string(rank) + " called " +
-               to_string(kind) + " but rank " +
-               std::to_string(rec.first_rank) + " called " +
-               to_string(rec.kind));
-      } else if (root != rec.root) {
-        d.ranks = {rank, rec.first_rank};
-        report("rank " + std::to_string(rank) + " called " +
-               to_string(kind) + " with root " + std::to_string(root) +
-               " but rank " + std::to_string(rec.first_rank) +
-               " used root " + std::to_string(rec.root));
-      } else if (kind == CollKind::kBcast) {
-        // Non-root capacity may exceed the root payload, but never
-        // undercut it; cross-check lazily once both sides are known.
-        if (rank == root) {
-          rec.bytes = bytes;
-          rec.root_seen = true;
-        } else if (bytes < rec.min_cap || rec.min_cap_rank < 0) {
-          rec.min_cap = bytes;
-          rec.min_cap_rank = rank;
-        }
-        if (rec.root_seen && rec.min_cap_rank >= 0 &&
-            rec.min_cap < rec.bytes) {
-          d.ranks = {rec.min_cap_rank, root};
-          report("rank " + std::to_string(rec.min_cap_rank) +
-                 " entered bcast with a " + std::to_string(rec.min_cap) +
-                 "B buffer but root " + std::to_string(root) +
-                 " broadcasts " + std::to_string(rec.bytes) + "B");
-        }
-      } else if (kind != CollKind::kBarrier &&
-                 kind != CollKind::kAlltoallv && bytes != rec.bytes) {
-        d.ranks = {rank, rec.first_rank};
-        report("rank " + std::to_string(rank) + " called " +
-               to_string(kind) + " with " + std::to_string(bytes) +
-               "B blocks but rank " + std::to_string(rec.first_rank) +
-               " used " + std::to_string(rec.bytes) + "B");
+      if (rec.root_seen && rec.min_cap_rank >= 0 &&
+          rec.min_cap < rec.bytes) {
+        d.ranks = {rec.min_cap_rank, root};
+        report("rank " + std::to_string(rec.min_cap_rank) +
+               " entered bcast with a " + std::to_string(rec.min_cap) +
+               "B buffer but root " + std::to_string(root) +
+               " broadcasts " + std::to_string(rec.bytes) + "B");
       }
+    } else if (kind != CollKind::kBarrier &&
+               kind != CollKind::kAlltoallv && bytes != rec.bytes) {
+      d.ranks = {rank, rec.first_rank};
+      report("rank " + std::to_string(rank) + " called " +
+             to_string(kind) + " with " + std::to_string(bytes) +
+             "B blocks but rank " + std::to_string(rec.first_rank) +
+             " used " + std::to_string(rec.bytes) + "B");
     }
   }
   if (mismatch) record(std::move(d), /*throwable=*/true);

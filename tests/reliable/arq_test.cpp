@@ -9,7 +9,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <mutex>
 #include <set>
 #include <string>
 #include <tuple>
@@ -409,7 +408,6 @@ TEST(ReliablePerturbed, TranscriptsAndFaultStatsIdenticalAcrossSalts) {
   WorldConfig config = arq_world(4, 1, plan);
 
   constexpr int kRuns = 5;  // run 0 baseline + 4 perturbed salts
-  std::mutex mu;
   std::vector<std::string> transcripts;  // kRanks entries per run
   std::vector<net::FaultStats> fault_stats;  // 1 entry per run
   const auto body = [&](Comm& comm) {
@@ -428,7 +426,6 @@ TEST(ReliablePerturbed, TranscriptsAndFaultStatsIdenticalAcrossSalts) {
       got += "|";
     }
     comm.barrier();  // all traffic done: fault stats are final
-    const std::lock_guard<std::mutex> lock(mu);
     transcripts.push_back(std::to_string(comm.rank()) + "=" + got);
     if (comm.rank() == 0) {
       fault_stats.push_back(comm.world().fabric().faults()->stats());

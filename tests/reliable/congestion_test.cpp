@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -174,7 +173,6 @@ TEST(CongestionAdversity, ExtremeLossSurvivedWithZeroAppVisibleErrors) {
 
     constexpr int kRuns = 3;
     constexpr int kMsgs = 12;
-    std::mutex mu;
     std::vector<std::string> transcripts;
     const auto body = [&](Comm& comm) {
       std::string got;
@@ -195,7 +193,6 @@ TEST(CongestionAdversity, ExtremeLossSurvivedWithZeroAppVisibleErrors) {
         }
         got += std::to_string(i) + ";";
       }
-      const std::lock_guard<std::mutex> lock(mu);
       transcripts.push_back(std::to_string(comm.rank()) + "=" + got);
     };
 

@@ -2,7 +2,9 @@
 // determinism, waitable hand-off, charge accounting, error paths.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <exception>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "emc/sim/engine.hpp"
@@ -51,9 +53,9 @@ TEST(Engine, ProcessesInterleaveByVirtualTime) {
 
 TEST(Engine, RunsEveryProcessExactlyOnce) {
   Engine engine(17);
-  std::atomic<int> count{0};
-  engine.run([&count](Process&) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 17);
+  int count = 0;
+  engine.run([&count](Process&) { ++count; });
+  EXPECT_EQ(count, 17);
 }
 
 TEST(Engine, WaitableHandsOffBetweenProcesses) {
@@ -211,14 +213,14 @@ TEST(Engine, ManyProcessesScale) {
   // 64 ranks is the paper's largest setting; make sure the engine
   // handles it with plenty of context switches.
   Engine engine(64);
-  std::atomic<long> switches{0};
+  long switches = 0;
   engine.run([&switches](Process& p) {
     for (int i = 0; i < 50; ++i) {
       p.advance(0.001 * (p.index() + 1));
-      switches.fetch_add(1);
+      ++switches;
     }
   });
-  EXPECT_EQ(switches.load(), 64 * 50);
+  EXPECT_EQ(switches, 64 * 50);
 }
 
 TEST(Engine, WaitForReturnsTrueWhenNotifiedBeforeDeadline) {
@@ -335,6 +337,106 @@ TEST(Engine, DeadlockExplainerTextIsAppended) {
     EXPECT_NE(std::string(e.what()).find("extra context"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(Engine, CaughtExceptionStateIsPerProcess) {
+  // Both ranks block inside their catch handlers while the other one
+  // catches its own exception; `throw;` must still rethrow the
+  // handler's own exception, not the other rank's.
+  Engine engine(2);
+  std::vector<std::string> rethrown(2);
+  engine.run([&rethrown](Process& p) {
+    const std::string mine = "rank " + std::to_string(p.index());
+    try {
+      try {
+        throw std::runtime_error(mine);
+      } catch (const std::runtime_error&) {
+        for (int i = 0; i < 3; ++i) p.advance(1.0);  // handlers interleave
+        throw;
+      }
+    } catch (const std::runtime_error& e) {
+      rethrown[static_cast<std::size_t>(p.index())] = e.what();
+    }
+  });
+  EXPECT_EQ(rethrown, (std::vector<std::string>{"rank 0", "rank 1"}));
+}
+
+TEST(Engine, UncaughtExceptionCountIsPerProcess) {
+  // Rank 0 blocks in a destructor while an exception unwinds it; rank 1
+  // runs meanwhile and must not see that exception in flight.
+  struct BlocksWhileUnwinding {
+    Process& p;
+    std::vector<int>& seen;
+    ~BlocksWhileUnwinding() {
+      seen.push_back(std::uncaught_exceptions());
+      p.advance(1.0);
+      seen.push_back(std::uncaught_exceptions());
+    }
+  };
+  Engine engine(2);
+  std::vector<int> unwinding;
+  std::vector<int> bystander;
+  engine.run([&](Process& p) {
+    if (p.index() == 0) {
+      try {
+        const BlocksWhileUnwinding guard{p, unwinding};
+        throw 1;
+      } catch (int) {
+      }
+    } else {
+      for (int i = 0; i < 4; ++i) {
+        p.advance(0.4);
+        bystander.push_back(std::uncaught_exceptions());
+      }
+    }
+  });
+  EXPECT_EQ(unwinding, (std::vector<int>{1, 1}));
+  EXPECT_EQ(bystander, (std::vector<int>{0, 0, 0, 0}));
+}
+
+// Recurses @p depth frames of 64 KiB each, blocking at the bottom.
+int deep_stack(Process& p, int depth) {
+  volatile unsigned char frame[64 * 1024];
+  for (std::size_t i = 0; i < sizeof frame; i += 4096) {
+    frame[i] = static_cast<unsigned char>(depth);
+  }
+  if (depth == 0) {
+    p.advance(1.0);
+    return frame[0];
+  }
+  return deep_stack(p, depth - 1) + frame[sizeof frame - 4096];
+}
+
+TEST(Engine, ProcessBodiesGetLargeStacks) {
+  // 32 frames x 64 KiB = 2 MiB of stack per rank, live across a block.
+  Engine engine(2);
+  std::vector<int> sums(2);
+  const Time end = engine.run([&sums](Process& p) {
+    sums[static_cast<std::size_t>(p.index())] = deep_stack(p, 31);
+  });
+  EXPECT_DOUBLE_EQ(end, 1.0);
+  EXPECT_EQ(sums, (std::vector<int>{31 * 32 / 2, 31 * 32 / 2}));
+}
+
+TEST(Engine, RepeatedRunsReuseProcessStacks) {
+  // Each run restarts every process at the top of the same stack, and
+  // virtual time carries over from one run to the next.
+  Engine engine(3);
+  std::vector<std::vector<const void*>> frames(3);
+  for (int run = 1; run <= 3; ++run) {
+    const Time end = engine.run([&frames](Process& p) {
+      frames[static_cast<std::size_t>(p.index())].push_back(
+          __builtin_frame_address(0));
+      p.advance(1.0);
+    });
+    EXPECT_DOUBLE_EQ(end, static_cast<double>(run));
+  }
+  for (const auto& f : frames) {
+    ASSERT_EQ(f.size(), 3u);
+    EXPECT_EQ(f[0], f[1]);
+    EXPECT_EQ(f[1], f[2]);
+  }
+  EXPECT_NE(frames[0][0], frames[1][0]);
 }
 
 TEST(Engine, ThrowingDeadlockExplainerIsSwallowed) {
