@@ -69,12 +69,6 @@ struct Envelope {
   /// routed path (relay store-and-forward + per-hop surcharge); feeds
   /// the receiver's relay_forward trace span. 0 on direct links.
   double relay_delay = 0.0;
-  /// Earliest virtual time this payload may start on the wire: a
-  /// pipelined chunk cannot transmit before its helper core finished
-  /// sealing it (docs/PIPELINE.md). 0 (the default) keeps every
-  /// existing path bit-exact; the ARQ layer honours it by clamping
-  /// its send time.
-  double wire_not_before = 0.0;
 };
 
 /// A posted (not yet matched) receive.
