@@ -108,6 +108,23 @@ TEST(SecureHardening, TamperedAllgatherBlockIsRejected) {
       IntegrityError);
 }
 
+TEST(SecureHardening, GatherRootChecksItsBufferBeforeSealing) {
+  // A root with a wrong-sized receive buffer fails before spending any
+  // crypto on its own block, like every other secure collective.
+  SecureConfig config;
+  config.charge_crypto = false;
+  run_secure_world(world_of(2, 1), config, [](SecureComm& comm) {
+    const Bytes block(64, 0x01);
+    if (comm.rank() == 0) {
+      Bytes too_small(block.size());
+      EXPECT_THROW(comm.gather(block, too_small, 0), mpi::MpiError);
+      EXPECT_EQ(comm.counters().messages_sealed, 0u);
+    } else {
+      comm.gather(block, {}, 0);
+    }
+  });
+}
+
 TEST(SecureHardening, StatusReportsPlaintextSizesWithWildcards) {
   SecureConfig config;
   config.charge_crypto = false;

@@ -1,15 +1,19 @@
 // The chunked encrypt->send pipeline (docs/PIPELINE.md): engagement
 // threshold edges, exact-multiple and remainder chunking, ARQ
 // interplay (dropped chunk, tampered chunk with and without e2e
-// recovery), duplicate and replay classification per chunk, the
+// recovery, a one-bit fault in every header field), duplicate and
+// replay classification per chunk, the
 // nonce-exhaustion guard charged per chunk, rekey stream restarts,
 // wildcard matching, the non-blocking paths, helper-core overlap
 // attribution, and bit-exact replay.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <exception>
 #include <numeric>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "emc/secure_mpi/secure_comm.hpp"
 #include "emc/trace/trace.hpp"
@@ -345,6 +349,103 @@ TEST(PipelineFaults, DuplicatedChunkAbsorbedAsBenignAnomaly) {
       EXPECT_EQ(std::string(next.begin(), next.end()), "still alive");
     }
   });
+}
+
+TEST(PipelineFaults, DuplicatedLastChunkStragglerAbsorbedUnderBinding) {
+  // The fabric duplicates the last chunk, so the extra copy is the
+  // first frame the NEXT receive sees. With context binding it cannot
+  // authenticate under the channel's new sequence numbers; the
+  // receiver must still recognise it (by the GCM tag of the chunk it
+  // accepted) and absorb it as a benign duplicate.
+  WorldConfig config = world_of(2);
+  config.cluster.faults = nth_fault(net::FaultKind::kDuplicate, 2);
+  SecureConfig secure = piped();
+  secure.bind_context = true;
+  mpi::run_world(config, [&](Comm& plain) {
+    SecureComm comm(plain, secure);
+    const Bytes msg = patterned(3 * 1024);
+    if (plain.rank() == 0) {
+      comm.send(msg, 1, 5);
+      comm.send(msg, 1, 5);
+    } else {
+      for (int i = 0; i < 2; ++i) {
+        Bytes buf(msg.size());
+        EXPECT_EQ(comm.recv(buf, 0, 5).bytes, msg.size());
+        EXPECT_EQ(buf, msg);
+      }
+      EXPECT_EQ(comm.counters().duplicates_suppressed, 1u);
+      EXPECT_EQ(comm.counters().faults_detected(), 0u);
+    }
+  });
+}
+
+/// Which part of a chunk frame byte @p pos belongs to: 0 magic,
+/// 1 index, 2 count, 3 chunk_len, 4 msg_id, 5 offset, 6 AEAD frame.
+int frame_region(std::size_t pos) {
+  if (pos >= kPipeHeaderBytes) return 6;
+  if (pos < 16) return static_cast<int>(pos / 4);
+  return pos < 24 ? 4 : 5;
+}
+
+TEST(PipelineFaults, LineFaultInAnyChunkFieldIsRecoveredOrFailsClosed) {
+  // One bit flipped anywhere in one chunk frame — the magic word, any
+  // header field, or the AEAD frame — must never steer the receiver
+  // before the chunk authenticates: with ARQ the end-to-end NACK
+  // recovers the message intact, without it the receive fails closed
+  // with IntegrityError (never a timeout or a wrong plaintext).
+  constexpr std::size_t kChunk = 64;
+  constexpr std::size_t kFrame = kPipeHeaderBytes + SecureComm::wire_size(kChunk);
+  const Bytes msg = patterned(4 * kChunk);
+  std::set<int> regions_hit;
+  std::vector<std::string> failures;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    for (std::uint64_t nth = 0; nth < 4; ++nth) {
+      net::FaultPlan plan = nth_fault(net::FaultKind::kCorrupt, nth);
+      plan.seed = seed;
+      // Replay the injector's draws on the 0->1 link to see which byte
+      // of the frame the fault damages.
+      net::FaultInjector probe(plan);
+      net::FaultDecision d;
+      for (std::uint64_t k = 0; k <= nth; ++k) d = probe.next(0, 1, kFrame);
+      regions_hit.insert(frame_region(d.position));
+      for (const bool arq : {true, false}) {
+        WorldConfig config = world_of(2);
+        config.cluster.faults = plan;
+        config.reliability.enabled = arq;
+        config.recv_timeout = 1.0;  // a hang surfaces as an MpiError
+        std::string outcome;
+        mpi::run_world(config, [&](Comm& plain) {
+          SecureComm comm(plain, piped(kChunk));
+          if (plain.rank() == 0) {
+            comm.send(msg, 1, 5);
+            return;
+          }
+          Bytes buf(msg.size());
+          try {
+            (void)comm.recv(buf, 0, 5);
+            outcome = buf != msg ? "wrong plaintext"
+                      : comm.counters().nacks_sent != 1
+                          ? "nacks " + std::to_string(comm.counters().nacks_sent)
+                          : "intact";
+          } catch (const IntegrityError&) {
+            outcome = "IntegrityError";
+          } catch (const std::exception& e) {
+            outcome = e.what();
+          }
+        });
+        const char* want = arq ? "intact" : "IntegrityError";
+        if (outcome != want) {
+          failures.push_back("seed " + std::to_string(seed) + " nth " +
+                             std::to_string(nth) + " byte " +
+                             std::to_string(d.position) +
+                             (arq ? " arq: " : " no-arq: ") + outcome);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(regions_hit.size(), 7u) << "the sweep must damage every field";
+  EXPECT_TRUE(failures.empty()) << failures.size() << " cases, first: "
+                                << (failures.empty() ? "" : failures.front());
 }
 
 // --------------------------------------------------- nonce-stream rules

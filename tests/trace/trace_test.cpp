@@ -191,6 +191,46 @@ TEST(TraceSpans, PerRankSpansAreChronologicalAndNonOverlapping) {
   }
 }
 
+TEST(TraceSpans, NonBlockingRendezvousSendTracesLikeBlockingSend) {
+  // A 1 MiB isend+wait takes the same rendezvous handshake as a send:
+  // the sender's sync_wait and nic_queue spans must match exactly,
+  // payload size included.
+  constexpr std::size_t kBytes = std::size_t{1} << 20;
+  const auto sender_spans = [](bool nonblocking) {
+    mpi::WorldConfig config = two_rank_config();
+    const auto rec = attach_recorder(config);
+    mpi::run_world(config, [&](mpi::Comm& c) {
+      Bytes buf(kBytes, 0x5a);
+      if (c.rank() == 1) {
+        c.recv(buf, 0, 1);
+      } else if (nonblocking) {
+        mpi::Request r = c.isend(buf, 1, 1);
+        c.wait(r);
+      } else {
+        c.send(buf, 1, 1);
+      }
+    });
+    return rec->events(0);
+  };
+  const auto blocking = sender_spans(false);
+  const auto nonblocking = sender_spans(true);
+  ASSERT_EQ(blocking.size(), nonblocking.size());
+  int handshake_spans = 0;
+  for (std::size_t i = 0; i < blocking.size(); ++i) {
+    EXPECT_EQ(blocking[i].category, nonblocking[i].category) << "span " << i;
+    EXPECT_EQ(blocking[i].begin, nonblocking[i].begin) << "span " << i;
+    EXPECT_EQ(blocking[i].end, nonblocking[i].end) << "span " << i;
+    EXPECT_EQ(blocking[i].peer, nonblocking[i].peer) << "span " << i;
+    EXPECT_EQ(blocking[i].bytes, nonblocking[i].bytes) << "span " << i;
+    if (nonblocking[i].category == trace::Category::kSyncWait ||
+        nonblocking[i].category == trace::Category::kNicQueue) {
+      ++handshake_spans;
+      EXPECT_EQ(nonblocking[i].bytes, kBytes) << "span " << i;
+    }
+  }
+  EXPECT_GE(handshake_spans, 1);
+}
+
 // -------------------------------------------------------- attribution
 
 TEST(TraceSummary, CategoriesPlusIdleSumToTotalExactly) {
