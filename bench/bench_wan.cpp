@@ -5,6 +5,7 @@
 // sealed forwarding), with plaintext-exposure accounting.
 //
 //   bench_wan [--quick|--paper] [--msgs=N] [--salts=K] [--seed=S]
+//             [--trace=FILE]
 //
 // Every link is hostile on purpose: seeded frame loss, seeded latency
 // jitter, and deterministic background cross-traffic bursts. All of it
@@ -140,7 +141,7 @@ std::string pct_label(double p) {
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
-  args.allow_only(with_common_flags({"msgs"}));
+  args.allow_only(with_common_flags({"msgs", "trace"}));
   calibrate_cpu_scale(args);
   const StabilityPolicy policy = policy_from(args);
   const SaltSchedule schedule = schedule_from(args);
@@ -300,6 +301,28 @@ int main(int argc, char** argv) {
     const double a = timed_world(config, stream_body(msgs), 0);
     const double b = timed_world(config, stream_body(msgs), 0);
     check(a == b, "continental/adaptive/loss=15% replays bit-exactly");
+  }
+
+  // ---- Optional deep trace artifacts (--trace) ----
+  {
+    std::vector<TraceRun> runs;
+    for (const auto& [name, transport] :
+         std::vector<std::pair<std::string, reliable::Transport>>{
+             {"analytic", reliable::Transport::kAnalytic},
+             {"fixed", reliable::Transport::kFixedRto},
+             {"adaptive", reliable::Transport::kAdaptive}}) {
+      runs.push_back({"metro-15loss-" + name,
+                      wan_world(net::wan_metro(), 0.15, transport),
+                      stream_body(msgs)});
+    }
+    for (const auto& [name, trust] : trusts) {
+      runs.push_back({"relay2-15loss-" + name, relay_world(2, 0.15),
+                      [msgs, trust](mpi::Comm& comm) {
+                        std::uint64_t exposures = 0;
+                        relay_body(msgs, trust, exposures)(comm);
+                      }});
+    }
+    emit_attribution_traces(args, "wan", std::move(runs));
   }
 
   save_trajectory(traj);

@@ -28,14 +28,14 @@ run() {
   "$bin/$1" "${@:2}" > "$1.log"
 }
 run bench_faults
-run bench_wan --quick --cpu-scale=1 --salts=3
+run bench_wan --quick --cpu-scale=1 --salts=3 --trace=trace_wan.json
 run bench_pipeline --quick --cpu-scale=1 --salts=3 --trace=trace_pipeline.json
 run bench_keys --quick --cpu-scale=1 --trace=trace_keys.json
 run bench_pingpong --quick --cpu-scale=1 --trace=trace_pingpong.json
 
-csvs=(faults ft_recovery reliability wan_goodput wan_relay pipeline_goodput
-      pipeline_sweep attribution_pipeline keys_handshake_loss keys_lkh_rekey
-      attribution_keys attribution_pingpong_eth)
+csvs=(faults ft_recovery reliability wan_goodput wan_relay attribution_wan
+      pipeline_goodput pipeline_sweep attribution_pipeline keys_handshake_loss
+      keys_lkh_rekey attribution_keys attribution_pingpong_eth)
 failed=0
 for name in "${csvs[@]}"; do
   if cmp -s "$name.csv" "$root/results/$name.csv"; then
