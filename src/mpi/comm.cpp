@@ -243,18 +243,9 @@ void Comm::post_envelope(int dst, std::unique_ptr<Envelope> env) {
   box.unexpected.push_back(std::move(env));
 }
 
-void Comm::deliver_eager(int dst, std::unique_ptr<Envelope> env,
-                         double send_time) {
+void Comm::deliver_eager(int dst, std::unique_ptr<Envelope> env) {
   const int wd = to_world(dst);
-  net::FaultInjector* faults =
-      dst == rank() ? nullptr : world_->fabric().faults_for(wrank(), wd);
-  // The ARQ channel takes over whenever faults can strike OR it owns
-  // the wire itself (clocked transport / routed path — engaged()).
-  if (arq_ != nullptr && dst != rank() &&
-      (faults != nullptr || arq_->engaged(wrank(), wd))) {
-    deliver_reliable(dst, std::move(env), send_time);
-    return;
-  }
+  net::FaultInjector* faults = world_->fabric().faults_for(wrank(), wd);
   if (faults == nullptr) {
     post_envelope(dst, std::move(env));
     return;
@@ -304,10 +295,9 @@ void Comm::deliver_reliable(int dst, std::unique_ptr<Envelope> env,
   // corruption is caught and retransmitted below the MPI layer; user
   // point-to-point payloads defer integrity to the upper layer.
   const bool checksummed = env->tag >= (1 << 28);
-  const bool channel_wire = arq_->engaged(wrank(), wd);
   const reliable::Delivery d =
       arq_->deliver(wrank(), wd, env->payload.size(), send_time,
-                    env->arrival, checksummed, relay_policy_);
+                    checksummed, relay_policy_);
   env->arq_seq = d.seq;
   env->arq_transmissions = d.transmissions;
   switch (d.result) {
@@ -318,7 +308,7 @@ void Comm::deliver_reliable(int dst, std::unique_ptr<Envelope> env,
       // delivery) is applied when the receiver copies it out, and
       // undone again if the upper layer NACKs (recover_damaged_recv).
       env->arrival = d.arrival;
-      if (channel_wire) env->nic_queue = d.queue_delay;
+      env->nic_queue = d.queue_delay;
       env->relay_delay = d.relay_delay;
       env->damage = d.damage;
       post_envelope(dst, std::move(env));
@@ -434,11 +424,11 @@ bool Comm::post_send(BytesView data, int dst, int tag, double wire_not_before,
   // A pipelined chunk may not start on the wire before its helper core
   // sealed it; every other send passes 0, leaving the send time as is.
   const double send_time = std::max(proc_->now(), wire_not_before);
-  if (dst == rank() || arq_resolves_wire(wd)) {
-    // Self-sends never touch the wire; engaged ARQ transports
-    // (clocked / routed) reserve the wire inside deliver_reliable,
-    // which then fills arrival/queue/relay from the Delivery.
-    env->arrival = send_time;
+  if (dst == rank()) {
+    env->arrival = send_time;  // self-sends never touch the wire
+    post_envelope(dst, std::move(env));
+  } else if (arq_ != nullptr && arq_->carries(wrank(), wd)) {
+    deliver_reliable(dst, std::move(env), send_time);
   } else {
     const net::PathTimes path = world_->fabric().reserve_route(
         wrank(), wd, data.size(), send_time,
@@ -446,8 +436,8 @@ bool Comm::post_send(BytesView data, int dst, int tag, double wire_not_before,
     env->arrival = path.arrival;
     env->nic_queue = path.queue_delay;
     env->relay_delay = path.relay_delay;
+    deliver_eager(dst, std::move(env));
   }
-  deliver_eager(dst, std::move(env), send_time);
   return false;
 }
 

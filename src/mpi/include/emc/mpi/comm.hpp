@@ -145,20 +145,18 @@ class Comm final : public Communicator {
   /// Posts an envelope to @p dst, matching a posted receive if one fits.
   void post_envelope(int dst, std::unique_ptr<detail::Envelope> env);
 
-  /// Runs an eager envelope through the fabric's fault injector (if
-  /// any) before posting: may corrupt or truncate the payload, post a
-  /// duplicate, or drop the envelope entirely. With the reliability
-  /// layer enabled the ARQ dialogue is resolved here instead
-  /// (deliver_reliable) and only drops caused by a dead link survive.
-  /// @p send_time is when the payload may start on the wire.
-  void deliver_eager(int dst, std::unique_ptr<detail::Envelope> env,
-                     double send_time);
+  /// Runs an eager envelope, already on the wire, through the fabric's
+  /// fault injector (if any) before posting: may corrupt or truncate
+  /// the payload, post a duplicate, or drop the envelope entirely.
+  /// Only for frames the ARQ channel does not carry.
+  void deliver_eager(int dst, std::unique_ptr<detail::Envelope> env);
 
-  /// ARQ delivery of an eager envelope (reliability enabled): resolves
-  /// retransmissions/backoff via the channel, suppresses duplicates,
-  /// stashes clean copies of damaged payloads for end-to-end NACK
-  /// recovery, and converts retry-budget exhaustion into a tombstone
-  /// plus a thrown reliable::PeerUnreachable.
+  /// ARQ delivery of an eager envelope the channel carries: the channel
+  /// makes every wire reservation from @p send_time on, resolves
+  /// retransmissions/backoff and suppresses duplicates; a damaged
+  /// payload is posted for end-to-end NACK recovery, and retry-budget
+  /// exhaustion becomes a tombstone plus a thrown
+  /// reliable::PeerUnreachable.
   void deliver_reliable(int dst, std::unique_ptr<detail::Envelope> env,
                         double send_time);
 
@@ -207,14 +205,6 @@ class Comm final : public Communicator {
   /// path) — or wholly as kArqRetransmit when ARQ @p recovered it.
   void sleep_traced(double arrival, bool recovered, double queue_delay,
                     int peer, std::uint64_t bytes, double relay_delay);
-
-  /// True when the ARQ channel resolves wire reservations itself for
-  /// traffic to world rank @p wd (clocked transport or routed path):
-  /// the send path must then skip its own reserve and let
-  /// deliver_reliable fill arrival/queue/relay from the Delivery.
-  [[nodiscard]] bool arq_resolves_wire(int wd) const {
-    return arq_ != nullptr && arq_->engaged(wrank(), wd);
-  }
 
   /// Fresh tag for the next collective (all ranks call collectives in
   /// the same order, so the per-rank counter stays aligned).
