@@ -100,6 +100,20 @@ bool timed_recv(mpi::Comm& comm, MutBytes frame, int peer, int tag,
   }
 }
 
+/// How many receive timeouts in a row a lingering endpoint waits out
+/// before it leaves: enough to cover the peer's longest backoff plus
+/// two more. Both ends count whole waits as an integer, so they agree
+/// on the bound exactly; a floating-point sum of waited time can fall
+/// one ulp short and linger one extra timeout, long enough for the
+/// peer's first post-handshake receive to time out. The small slack
+/// keeps a backoff_max that is a whole multiple of recv_timeout from
+/// being rounded up by one.
+int linger_waits(mpi::Comm& comm, const HandshakeConfig& cfg) {
+  const double timeouts =
+      cfg.backoff_max / comm.world().config().recv_timeout;
+  return static_cast<int>(std::ceil(timeouts - 1e-9)) + 2;
+}
+
 struct Frames {
   std::size_t width;       ///< DH public width
   std::size_t hello;       ///< HELLO frame size
@@ -185,22 +199,19 @@ HandshakeResult run_initiator(mpi::Comm& comm, int peer,
 
     // Linger: the responder retransmits ACCEPT until a CONFIRM lands,
     // backing off up to backoff_max between attempts. Re-answer every
-    // duplicate until the line has been quiet long enough to cover
-    // its longest retry interval.
-    const double quiet_needed =
-        cfg.backoff_max + 2.0 * comm.world().config().recv_timeout;
-    double quiet = 0.0;
-    while (quiet < quiet_needed) {
-      const double before = comm.now();
+    // duplicate until the line has stayed quiet for linger_waits()
+    // timeouts in a row, which covers its longest retry interval.
+    const int quiet_needed = linger_waits(comm, cfg);
+    for (int quiet = 0; quiet < quiet_needed;) {
       std::size_t dup = 0;
-      if (timed_recv(comm, wire, peer, accept_tag, &dup)) {
-        quiet = 0.0;
-        if (dup == fs.accept && header_ok(BytesView(wire.data(), dup),
-                                          cfg.instance)) {
-          comm.send(confirm, peer, confirm_tag_id);
-        }
-      } else {
-        quiet += comm.now() - before;
+      if (!timed_recv(comm, wire, peer, accept_tag, &dup)) {
+        ++quiet;
+        continue;
+      }
+      quiet = 0;
+      if (dup == fs.accept &&
+          header_ok(BytesView(wire.data(), dup), cfg.instance)) {
+        comm.send(confirm, peer, confirm_tag_id);
       }
     }
 
@@ -298,22 +309,17 @@ HandshakeResult run_responder(mpi::Comm& comm, int peer,
     }
 
     // Drain: the initiator lingers re-answering duplicate ACCEPTs
-    // until its line has been quiet for the same window; mirror that
-    // window here so both endpoints return within one link latency of
-    // each other. Composition guarantee: the first post-handshake
-    // receive can never time out merely because the peer is still
-    // lingering. Stray duplicate CONFIRMs are absorbed.
-    const double quiet_needed =
-        cfg.backoff_max + 2.0 * comm.world().config().recv_timeout;
-    double quiet = 0.0;
-    while (quiet < quiet_needed) {
-      const double before = comm.now();
+    // until its line has been quiet for linger_waits() timeouts in a
+    // row; count the same whole waits here so both endpoints return
+    // within one link latency of each other. Composition guarantee:
+    // the first post-handshake receive can never time out merely
+    // because the peer is still lingering. Stray duplicate CONFIRMs
+    // are absorbed.
+    const int quiet_needed = linger_waits(comm, cfg);
+    for (int quiet = 0; quiet < quiet_needed;) {
       std::size_t dup = 0;
-      if (timed_recv(comm, wire, peer, confirm_tag_id, &dup)) {
-        quiet = 0.0;
-      } else {
-        quiet += comm.now() - before;
-      }
+      quiet = timed_recv(comm, wire, peer, confirm_tag_id, &dup) ? 0
+                                                                 : quiet + 1;
     }
 
     out.chain.assign(chain_half.begin(), chain_half.end());

@@ -1,7 +1,7 @@
 // The lossy-link handshake: clean-fabric agreement, survival of a 30%
 // loss continental WAN path with zero app-visible errors, bit-exact
-// same-seed replay, the fail-closed retry budget, key_mgmt billing,
-// and the usage guards.
+// same-seed replay, a linger both ends leave together, the fail-closed
+// retry budget, key_mgmt billing, and the usage guards.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -153,6 +153,54 @@ TEST(Handshake, LossyRunsReplayBitExactly) {
   const RunOutcome c = run_handshake(world, other);
   ASSERT_FALSE(c.ep[0].failed);
   EXPECT_NE(c.ep[0].chain, a.ep[0].chain);
+}
+
+TEST(Handshake, FirstReceiveAfterTheLingerNeverTimesOut) {
+  // Both ends leave their linger after the same whole number of
+  // receive timeouts, so a ping-pong right after the handshake never
+  // times out on the peer that is still lingering — for any backoff_max,
+  // whole multiples of recv_timeout (the defaults 2.0 and 1.0
+  // among them) included, on a clean and on a jittered metro link.
+  for (const double timeout : {0.05, 0.1, 0.25, 1.0}) {
+    for (const double backoff_max :
+         {0.05, 0.1, 0.2, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0}) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        for (const bool metro : {false, true}) {
+          WorldConfig world = clean_world();
+          world.recv_timeout = timeout;
+          if (metro) {
+            world.cluster.links.push_back(
+                {0, 1, net::wan_link(net::wan_metro(), 0.0, 2e-3, seed)});
+            world.cluster.links.push_back(
+                {1, 0, net::wan_link(net::wan_metro(), 0.0, 2e-3, seed + 1)});
+          }
+          HandshakeConfig cfg;
+          cfg.seed = seed;
+          cfg.backoff_max = backoff_max;
+          std::array<bool, 2> timed_out{};
+          mpi::run_world(world, [&](Comm& comm) {
+            const int peer = 1 - comm.rank();
+            (void)link_handshake(comm, peer, group(), cfg);
+            Bytes ball(1, 0x42);
+            try {
+              if (comm.rank() == 0) {
+                comm.send(ball, peer, 7);
+                (void)comm.recv(ball, peer, 7);
+              } else {
+                (void)comm.recv(ball, peer, 7);
+                comm.send(ball, peer, 7);
+              }
+            } catch (const mpi::MpiError&) {
+              timed_out[static_cast<std::size_t>(comm.rank())] = true;
+            }
+          });
+          EXPECT_FALSE(timed_out[0] || timed_out[1])
+              << "recv_timeout=" << timeout << " backoff_max=" << backoff_max
+              << " seed=" << seed << (metro ? " metro" : " plain");
+        }
+      }
+    }
+  }
 }
 
 TEST(Handshake, InstanceSeparatesSuccessiveHandshakes) {

@@ -396,6 +396,49 @@ TEST(ReliableDegrade, DeadLinkRaisesPeerUnreachableAndSurvivorsFinish) {
   EXPECT_TRUE(world.verifier()->clean());
 }
 
+TEST(ReliableDegrade, RefusedSendReservesNoWire) {
+  // A send to a link already declared dead is refused before it
+  // touches the wire: it reports zero attempts and leaves the sender's
+  // NIC free, so the next send to a survivor lands exactly when it
+  // would have without the refused one.
+  net::FaultPlan plan;
+  for (std::uint64_t nth = 0; nth < 20; ++nth) {
+    plan.triggers.push_back(
+        {.src = 0, .dst = 1, .nth = nth, .kind = net::FaultKind::kDrop});
+  }
+  const auto survivor_arrival = [&](bool resend) {
+    World world(arq_world(3, 1, plan));
+    double arrival = 0.0;
+    world.run([&](Comm& comm) {
+      const Bytes payload(4096, 0x5a);
+      if (comm.rank() == 0) {
+        EXPECT_THROW(comm.send(payload, 1, 1), PeerUnreachable);
+        if (resend) {
+          try {
+            comm.send(payload, 1, 1);
+            ADD_FAILURE() << "send to a dead link must throw";
+          } catch (const PeerUnreachable& e) {
+            EXPECT_EQ(e.attempts, 0u);
+          }
+        }
+        comm.send(payload, 2, 1);
+      } else if (comm.rank() == 1) {
+        Bytes buf(4096);
+        EXPECT_THROW((void)comm.recv(buf, 0, 1), PeerUnreachable);
+      } else {
+        Bytes buf(4096);
+        (void)comm.recv(buf, 0, 1);
+        EXPECT_EQ(buf, payload);
+        arrival = comm.now();
+      }
+    });
+    return arrival;
+  };
+  const double baseline = survivor_arrival(false);
+  EXPECT_GT(baseline, 0.0);
+  EXPECT_EQ(survivor_arrival(true), baseline);
+}
+
 TEST(ReliablePerturbed, TranscriptsAndFaultStatsIdenticalAcrossSalts) {
   // Schedule perturbation must not change what the ARQ delivers: the
   // fault schedule is a pure function of (seed, link, frame index),
