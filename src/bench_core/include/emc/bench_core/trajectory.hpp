@@ -36,7 +36,7 @@ struct TrajectoryRow {
   bool stable = false;
 };
 
-/// Parsed/serializable form of one BENCH_<area>.json.
+/// Serializable form of one BENCH_<area>.json.
 struct TrajectoryFile {
   int schema_version = 1;
   std::string area;
@@ -91,11 +91,10 @@ class Trajectory {
 /// delta into events-per-second.
 [[nodiscard]] std::uint64_t& global_engine_events();
 
-/// JSON (de)serialization. parse throws std::runtime_error on
-/// malformed input or schema mismatch. Numbers may be `null` (NaN —
-/// e.g. the overhead of a degenerate zero baseline).
+/// JSON serialization. Non-finite numbers are written as `null` (NaN —
+/// e.g. the overhead of a degenerate zero baseline); the reader is
+/// scripts/bench_compare.py.
 void write_trajectory_json(std::ostream& os, const TrajectoryFile& file);
-[[nodiscard]] TrajectoryFile parse_trajectory_json(std::istream& is);
 
 /// FNV-1a hash (hex) of settings + every row's config/metric/unit —
 /// the campaign-shape fingerprint bench_compare matches on.

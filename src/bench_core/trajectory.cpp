@@ -1,16 +1,10 @@
 #include "emc/bench_core/trajectory.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 namespace emc::bench {
@@ -161,269 +155,6 @@ void write_trajectory_json(std::ostream& os, const TrajectoryFile& file) {
        << ", \"stable\": " << (row.stable ? "true" : "false") << "}";
   }
   os << "\n  ]\n}\n";
-}
-
-// --- Minimal JSON parser (objects/arrays/strings/numbers/bools/null)
-// --- for reading our own schema back; not a general-purpose parser.
-
-namespace {
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<JsonValue> items;
-  std::map<std::string, JsonValue> fields;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::istream& is) {
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    text_ = buf.str();
-  }
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing data after JSON document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("trajectory JSON parse error at byte " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char ch) {
-    if (peek() != ch) fail(std::string("expected '") + ch + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    const std::size_t len = std::char_traits<char>::length(lit);
-    if (text_.compare(pos_, len, lit) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    JsonValue v;
-    const char ch = peek();
-    if (ch == '{') {
-      v.kind = JsonValue::Kind::kObject;
-      ++pos_;
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        return v;
-      }
-      while (true) {
-        skip_ws();
-        if (peek() != '"') fail("expected object key");
-        std::string key = string_body();
-        skip_ws();
-        expect(':');
-        v.fields[std::move(key)] = value();
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        return v;
-      }
-    }
-    if (ch == '[') {
-      v.kind = JsonValue::Kind::kArray;
-      ++pos_;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return v;
-      }
-      while (true) {
-        v.items.push_back(value());
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect(']');
-        return v;
-      }
-    }
-    if (ch == '"') {
-      v.kind = JsonValue::Kind::kString;
-      v.text = string_body();
-      return v;
-    }
-    if (consume_literal("true")) {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_literal("false")) {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = false;
-      return v;
-    }
-    if (consume_literal("null")) return v;  // kNull
-    // Number.
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("unexpected character");
-    try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
-    v.kind = JsonValue::Kind::kNumber;
-    return v;
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char ch = text_[pos_++];
-      if (ch == '"') return out;
-      if (ch != '\\') {
-        out.push_back(ch);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          const unsigned long code =
-              std::stoul(text_.substr(pos_, 4), nullptr, 16);
-          pos_ += 4;
-          // Writer only emits \u00xx for control bytes; anything
-          // else would need UTF-8 encoding this schema never uses.
-          if (code > 0xFF) fail("unsupported \\u escape beyond U+00FF");
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue& field(const JsonValue& obj, const std::string& name) {
-  const auto it = obj.fields.find(name);
-  if (it == obj.fields.end()) {
-    throw std::runtime_error("trajectory JSON: missing field '" + name +
-                             "'");
-  }
-  return it->second;
-}
-
-double number_or_nan(const JsonValue& v) {
-  if (v.kind == JsonValue::Kind::kNull) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  if (v.kind != JsonValue::Kind::kNumber) {
-    throw std::runtime_error("trajectory JSON: expected number or null");
-  }
-  return v.number;
-}
-
-std::string string_of(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::kString) {
-    throw std::runtime_error("trajectory JSON: expected string");
-  }
-  return v.text;
-}
-
-bool bool_of(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::kBool) {
-    throw std::runtime_error("trajectory JSON: expected boolean");
-  }
-  return v.boolean;
-}
-
-}  // namespace
-
-TrajectoryFile parse_trajectory_json(std::istream& is) {
-  JsonParser parser(is);
-  const JsonValue root = parser.parse();
-  if (root.kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("trajectory JSON: root must be an object");
-  }
-  TrajectoryFile file;
-  file.schema_version =
-      static_cast<int>(number_or_nan(field(root, "schema_version")));
-  if (file.schema_version != 1) {
-    throw std::runtime_error("trajectory JSON: unsupported schema_version " +
-                             std::to_string(file.schema_version));
-  }
-  file.area = string_of(field(root, "area"));
-  file.git_sha = string_of(field(root, "git_sha"));
-  file.config_hash = string_of(field(root, "config_hash"));
-  file.settings = string_of(field(root, "settings"));
-  const JsonValue& host = field(root, "host");
-  file.host_wall_seconds = number_or_nan(field(host, "wall_seconds"));
-  file.engine_events =
-      static_cast<std::uint64_t>(number_or_nan(field(host, "engine_events")));
-  file.events_per_second = number_or_nan(field(host, "events_per_second"));
-  const JsonValue& rows = field(root, "rows");
-  if (rows.kind != JsonValue::Kind::kArray) {
-    throw std::runtime_error("trajectory JSON: 'rows' must be an array");
-  }
-  for (const JsonValue& item : rows.items) {
-    TrajectoryRow row;
-    row.config = string_of(field(item, "config"));
-    row.metric = string_of(field(item, "metric"));
-    row.unit = string_of(field(item, "unit"));
-    row.higher_is_better = bool_of(field(item, "higher_is_better"));
-    row.mean = number_or_nan(field(item, "mean"));
-    row.median = number_or_nan(field(item, "median"));
-    row.ci95_low = number_or_nan(field(item, "ci95_low"));
-    row.ci95_high = number_or_nan(field(item, "ci95_high"));
-    row.rel_stddev = number_or_nan(field(item, "rel_stddev"));
-    row.n_runs =
-        static_cast<std::size_t>(number_or_nan(field(item, "n_runs")));
-    row.stable = bool_of(field(item, "stable"));
-    file.rows.push_back(std::move(row));
-  }
-  return file;
 }
 
 std::string trajectory_config_hash(const TrajectoryFile& file) {

@@ -1,8 +1,9 @@
-// BENCH_<area>.json emission: JSON round-trip (including NaN <-> null),
-// the campaign-shape config hash, and the Trajectory collector.
+// BENCH_<area>.json emission: the exact JSON text (NaN and infinity
+// as null), the campaign-shape config hash, and the Trajectory
+// collector.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "emc/bench_core/trajectory.hpp"
@@ -46,61 +47,50 @@ TrajectoryFile sample_file() {
   return f;
 }
 
-TEST(Trajectory, JsonRoundTripPreservesEverything) {
+TEST(Trajectory, JsonTextIsExact) {
   const TrajectoryFile f = sample_file();
-  std::stringstream ss;
-  write_trajectory_json(ss, f);
-  const TrajectoryFile back = parse_trajectory_json(ss);
-
-  EXPECT_EQ(back.schema_version, 1);
-  EXPECT_EQ(back.area, f.area);
-  EXPECT_EQ(back.git_sha, f.git_sha);
-  EXPECT_EQ(back.config_hash, f.config_hash);
-  EXPECT_EQ(back.settings, f.settings);
-  EXPECT_DOUBLE_EQ(back.host_wall_seconds, f.host_wall_seconds);
-  EXPECT_EQ(back.engine_events, f.engine_events);
-  EXPECT_DOUBLE_EQ(back.events_per_second, f.events_per_second);
-  ASSERT_EQ(back.rows.size(), 2u);
-
-  const TrajectoryRow& r = back.rows[0];
-  EXPECT_EQ(r.config, "eth/BoringSSL/16KB");
-  EXPECT_EQ(r.metric, "throughput");
-  EXPECT_EQ(r.unit, "MB/s");
-  EXPECT_TRUE(r.higher_is_better);
-  EXPECT_DOUBLE_EQ(r.mean, 179.78);
-  EXPECT_DOUBLE_EQ(r.median, 180.25);
-  EXPECT_DOUBLE_EQ(r.ci95_low, 175.0);
-  EXPECT_DOUBLE_EQ(r.ci95_high, 184.5);
-  EXPECT_DOUBLE_EQ(r.rel_stddev, 2.1);
-  EXPECT_EQ(r.n_runs, 9u);
-  EXPECT_TRUE(r.stable);
+  std::ostringstream os;
+  write_trajectory_json(os, f);
+  // Doubles print with 17 significant digits, so every value survives
+  // a round trip through the Python reader (scripts/bench_compare.py).
+  EXPECT_EQ(os.str(), R"({
+  "schema_version": 1,
+  "area": "pingpong",
+  "git_sha": "0123456789abcdef",
+  "config_hash": ")" + f.config_hash + R"(",
+  "settings": "net=eth policy=quick salts=3 seed=1",
+  "host": {
+    "wall_seconds": 5.25,
+    "engine_events": 55352,
+    "events_per_second": 10543.237999999999
+  },
+  "rows": [
+    {"config": "eth/BoringSSL/16KB", "metric": "throughput", "unit": "MB/s",
+     "higher_is_better": true, "mean": 179.78, "median": 180.25,
+     "ci95_low": 175, "ci95_high": 184.5, "rel_stddev": 2.1000000000000001,
+     "n_runs": 9, "stable": true},
+    {"config": "eth/Bcast/CryptoPP/4MB", "metric": "time", "unit": "us",
+     "higher_is_better": false, "mean": 150000, "median": null,
+     "ci95_low": null, "ci95_high": null, "rel_stddev": 0,
+     "n_runs": 1, "stable": false}
+  ]
+}
+)");
 }
 
-TEST(Trajectory, NanSerializesAsNullAndBack) {
-  const TrajectoryFile f = sample_file();
-  std::stringstream ss;
-  write_trajectory_json(ss, f);
-  const std::string text = ss.str();
-  EXPECT_NE(text.find("\"median\": null"), std::string::npos);
+TEST(Trajectory, NanSerializesAsNull) {
+  // JSON has no NaN or infinity: every non-finite number becomes null.
+  TrajectoryFile f = sample_file();
+  f.rows[0].mean = std::numeric_limits<double>::infinity();
+  f.rows[0].median = -std::numeric_limits<double>::infinity();
+  f.host_wall_seconds = std::numeric_limits<double>::quiet_NaN();
+  std::ostringstream os;
+  write_trajectory_json(os, f);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("\"wall_seconds\": null"), std::string::npos);
+  EXPECT_NE(text.find("\"mean\": null, \"median\": null"), std::string::npos);
   EXPECT_EQ(text.find("nan"), std::string::npos);
-
-  const TrajectoryFile back = parse_trajectory_json(ss);
-  ASSERT_EQ(back.rows.size(), 2u);
-  EXPECT_TRUE(std::isnan(back.rows[1].median));
-  EXPECT_TRUE(std::isnan(back.rows[1].ci95_low));
-  EXPECT_FALSE(back.rows[1].higher_is_better);
-  EXPECT_DOUBLE_EQ(back.rows[1].mean, 1.5e5);
-}
-
-TEST(Trajectory, ParseRejectsGarbageAndWrongSchema) {
-  {
-    std::stringstream ss("{not json");
-    EXPECT_THROW((void)parse_trajectory_json(ss), std::runtime_error);
-  }
-  {
-    std::stringstream ss(R"({"schema_version": 99, "area": "x"})");
-    EXPECT_THROW((void)parse_trajectory_json(ss), std::runtime_error);
-  }
+  EXPECT_EQ(text.find("inf"), std::string::npos);
 }
 
 TEST(Trajectory, ConfigHashTracksCampaignShapeOnly) {
