@@ -8,6 +8,10 @@
 #   scripts/check.sh default    # Release only (+ emc-lint + docs)
 #   scripts/check.sh sanitize   # sanitizers only (+ emc-lint + docs)
 #
+# The sanitize preset is also the build that runs the engine's portable
+# ucontext fiber switch (x86-64 Release builds use the register-only
+# one), so it cannot be dropped without losing that coverage.
+#
 # Exits non-zero on the first configure/build/test/lint/docs failure.
 set -euo pipefail
 

@@ -14,6 +14,15 @@
 //
 // The model is sequential DES with fibers as continuations — the same
 // execution style SimGrid's SMPI uses for its actor contexts.
+//
+// On x86-64 a switch is register-only: it pushes the callee-saved
+// registers, MXCSR and the x87 control word on the outgoing stack and
+// pops them from the incoming one. glibc's swapcontext also saves and
+// restores the signal mask, one rt_sigprocmask syscall per switch; the
+// register switch drops it, and a handoff between two processes fell
+// from ~310-360 ns to ~46-52 ns (bench_gbench_engine, 4-vCPU x86-64,
+// gcc 12). AddressSanitizer builds and other architectures keep the
+// portable ucontext switch, which the sanitize preset's test run covers.
 #pragma once
 
 #include <cstdint>

@@ -303,7 +303,7 @@ TEST(P2p, CpuScaleShrinksChargedWork) {
   const auto body = [](Comm& comm) {
     comm.process().charge([] {
       volatile double x = 0;
-      for (int i = 0; i < 500000; ++i) x += i;
+      for (int i = 0; i < 500000; ++i) x = x + i;
     });
   };
   config.cpu_scale = 1.0;

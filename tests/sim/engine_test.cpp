@@ -2,6 +2,10 @@
 // determinism, waitable hand-off, charge accounting, error paths.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cfenv>
+#include <cstdint>
+#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -124,7 +128,7 @@ TEST(Engine, ChargeBillsMeasuredTime) {
     const double before = p.now();
     const double measured = p.charge([] {
       volatile double x = 0;
-      for (int i = 0; i < 100000; ++i) x += i;
+      for (int i = 0; i < 100000; ++i) x = x + i;
     });
     EXPECT_GT(measured, 0.0);
     EXPECT_DOUBLE_EQ(p.now(), before + measured);
@@ -137,7 +141,7 @@ TEST(Engine, ChargeScaleMultiplies) {
     const double measured = p.charge(
         [] {
           volatile double x = 0;
-          for (int i = 0; i < 100000; ++i) x += i;
+          for (int i = 0; i < 100000; ++i) x = x + i;
         },
         2.0);
     EXPECT_NEAR(p.now(), 2.0 * measured, 1e-12);
@@ -188,7 +192,7 @@ TEST(Engine, ChargeScaleCalibratesVirtualCost) {
     EXPECT_DOUBLE_EQ(p.charge_scale(), 0.5);
     const double measured = p.charge([] {
       volatile double x = 0;
-      for (int i = 0; i < 200000; ++i) x += i;
+      for (int i = 0; i < 200000; ++i) x = x + i;
     });
     // Virtual cost is half the measured host cost.
     EXPECT_NEAR(p.now(), 0.5 * measured, 1e-12);
@@ -202,7 +206,7 @@ TEST(Engine, ChargeScaleComposesWithExplicitScale) {
     const double measured = p.charge(
         [] {
           volatile double x = 0;
-          for (int i = 0; i < 200000; ++i) x += i;
+          for (int i = 0; i < 200000; ++i) x = x + i;
         },
         3.0);
     EXPECT_NEAR(p.now(), 6.0 * measured, 1e-12);
@@ -437,6 +441,102 @@ TEST(Engine, RepeatedRunsReuseProcessStacks) {
     EXPECT_EQ(f[1], f[2]);
   }
   EXPECT_NE(frames[0][0], frames[1][0]);
+}
+
+// Rounding mode as SSE arithmetic applies it (MXCSR): the last bits of
+// 1/3 and -1/3 tell nearest, upward and downward apart.
+int sse_rounding_mode() {
+  volatile double one = 1.0;
+  volatile double minus_one = -1.0;
+  volatile double three = 3.0;
+  const double third = one / three;
+  const double minus_third = minus_one / three;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &third, sizeof bits);
+  if ((bits & 1) == 0) return FE_UPWARD;  // 0x3fd5...556
+  std::memcpy(&bits, &minus_third, sizeof bits);
+  if ((bits & 1) == 0) return FE_DOWNWARD;  // 0xbfd5...556
+  return FE_TONEAREST;
+}
+
+TEST(Engine, FloatingPointControlIsPerProcess) {
+  // A switch saves the rounding mode with the rest of a process's
+  // context: fegetround() reads the x87 control word, and the SSE
+  // division reads MXCSR.
+  Engine engine(2);
+  std::vector<std::vector<int>> seen(2);
+  engine.run([&seen](Process& p) {
+    auto& mine = seen[static_cast<std::size_t>(p.index())];
+    const auto observe = [&mine] {
+      mine.push_back(fegetround());
+      mine.push_back(sse_rounding_mode());
+    };
+    if (p.index() == 0) {
+      fesetround(FE_UPWARD);
+      p.advance(1.0);  // rank 1 runs meanwhile
+      observe();
+    } else {
+      observe();
+      fesetround(FE_DOWNWARD);
+      p.advance(2.0);  // rank 0 resumes and finishes meanwhile
+      observe();
+    }
+  });
+  const int host = fegetround();
+  const int host_sse = sse_rounding_mode();
+  fesetround(FE_TONEAREST);  // whatever the outcome, for later tests
+  EXPECT_EQ(seen[0], (std::vector<int>{FE_UPWARD, FE_UPWARD}));
+  EXPECT_EQ(seen[1], (std::vector<int>{FE_TONEAREST, FE_TONEAREST,
+                                       FE_DOWNWARD, FE_DOWNWARD}));
+  EXPECT_EQ(host, FE_TONEAREST);
+  EXPECT_EQ(host_sse, FE_TONEAREST);
+}
+
+[[gnu::noinline]] std::uint64_t mix(std::uint64_t acc, std::uint64_t salt) {
+  acc ^= salt + 0x9e3779b97f4a7c15ULL;
+  return (acc ^ (acc >> 29)) * 0xbf58476d1ce4e5b9ULL;
+}
+
+// Eight accumulators, more than there are callee-saved registers, live
+// across 1,000 blocking calls when @p p is set (none when it is null).
+// The counter stays in memory, so a lost register corrupts a result
+// instead of the loop bound.
+std::array<std::uint64_t, 8> accumulate(Process* p, std::uint64_t seed) {
+  std::uint64_t a0 = seed, a1 = seed + 1, a2 = seed + 2, a3 = seed + 3;
+  std::uint64_t a4 = seed + 4, a5 = seed + 5, a6 = seed + 6, a7 = seed + 7;
+  volatile int round = 0;
+  while (round < 1000) {
+    a0 = mix(a0, a7);
+    a1 = mix(a1, a0);
+    a2 = mix(a2, a1);
+    a3 = mix(a3, a2);
+    a4 = mix(a4, a3);
+    a5 = mix(a5, a4);
+    a6 = mix(a6, a5);
+    a7 = mix(a7, a6);
+    if (p != nullptr && round % 2 == 0) {
+      p->advance(1e-3 * static_cast<double>(p->index() + 1));
+    } else if (p != nullptr) {
+      p->yield();
+    }
+    round = round + 1;
+  }
+  return {a0, a1, a2, a3, a4, a5, a6, a7};
+}
+
+TEST(Engine, CalleeSavedRegistersSurviveSwitches) {
+  // Four processes interleave by their distinct advance steps, so each
+  // block switches to another process whose values sit in the same
+  // registers.
+  Engine engine(4);
+  std::vector<std::array<std::uint64_t, 8>> got(4);
+  engine.run([&got](Process& p) {
+    const auto index = static_cast<std::size_t>(p.index());
+    got[index] = accumulate(&p, 100 * index);
+  });
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], accumulate(nullptr, 100 * i)) << "process " << i;
+  }
 }
 
 TEST(Engine, ThrowingDeadlockExplainerIsSwallowed) {
