@@ -389,19 +389,21 @@ void Comm::await_handshake(RndvHandshake& handshake, int dst, int tag,
 // ------------------------------------------------------------ send side
 
 bool Comm::post_send(BytesView data, int dst, int tag, double wire_not_before,
-                     RndvHandshake* handshake) {
+                     RndvHandshake* handshake, Bytes* owned) {
   const int wd = to_world(dst);
+  const std::size_t bytes = data.size();
   const net::NetworkProfile& prof = world_->fabric().profile(wrank(), wd);
-  if (dst == rank() || data.size() <= prof.eager_threshold) handshake = nullptr;
+  if (dst == rank() || bytes <= prof.eager_threshold) handshake = nullptr;
   const double begin = proc_->now();
   // Eager: the sender pays overhead + copy into the envelope.
   // Rendezvous: only the overhead; the receiver pulls the payload
-  // (zero-copy) after the RTS announced it.
+  // (zero-copy) after the RTS announced it. An owned frame is billed
+  // the same: virtual time models the MPI library, not host copies.
   proc_->advance(handshake != nullptr
                      ? prof.send_overhead
-                     : prof.send_overhead + static_cast<double>(data.size()) /
+                     : prof.send_overhead + static_cast<double>(bytes) /
                                                 prof.copy_bandwidth);
-  trace_span(trace::Category::kCopy, begin, dst, data.size());
+  trace_span(trace::Category::kCopy, begin, dst, bytes);
   auto env = std::make_unique<Envelope>();
   env->src = rank();
   env->world_src = wrank();
@@ -411,7 +413,12 @@ bool Comm::post_send(BytesView data, int dst, int tag, double wire_not_before,
   if (handshake != nullptr) {
     const std::size_t ctrl = world_->config().ctrl_bytes;
     env->rendezvous = true;
-    env->rndv_data = data;
+    if (owned != nullptr) {
+      env->payload = std::move(*owned);
+      env->rndv_data = env->payload;
+    } else {
+      env->rndv_data = data;
+    }
     env->handshake = handshake;
     env->arrival = world_->fabric()
                        .reserve_route(wrank(), wd, ctrl, proc_->now(),
@@ -420,7 +427,11 @@ bool Comm::post_send(BytesView data, int dst, int tag, double wire_not_before,
     post_envelope(dst, std::move(env));
     return true;
   }
-  env->payload.assign(data.begin(), data.end());
+  if (owned != nullptr) {
+    env->payload = std::move(*owned);
+  } else {
+    env->payload.assign(data.begin(), data.end());
+  }
   // A pipelined chunk may not start on the wire before its helper core
   // sealed it; every other send passes 0, leaving the send time as is.
   const double send_time = std::max(proc_->now(), wire_not_before);
@@ -431,8 +442,7 @@ bool Comm::post_send(BytesView data, int dst, int tag, double wire_not_before,
     deliver_reliable(dst, std::move(env), send_time);
   } else {
     const net::PathTimes path = world_->fabric().reserve_route(
-        wrank(), wd, data.size(), send_time,
-        relay_policy_.hop_delay(data.size()));
+        wrank(), wd, bytes, send_time, relay_policy_.hop_delay(bytes));
     env->arrival = path.arrival;
     env->nic_queue = path.queue_delay;
     env->relay_delay = path.relay_delay;
@@ -441,11 +451,11 @@ bool Comm::post_send(BytesView data, int dst, int tag, double wire_not_before,
   return false;
 }
 
-void Comm::send_internal(BytesView data, int dst, int tag) {
+void Comm::send_internal(BytesView data, int dst, int tag, Bytes* owned) {
   validate_peer(dst, size());
   ft_guard(/*post=*/true);
   RndvHandshake handshake;
-  if (post_send(data, dst, tag, 0.0, &handshake)) {
+  if (post_send(data, dst, tag, 0.0, &handshake, owned)) {
     await_handshake(handshake, dst, tag, data.size());
   }
 }
@@ -455,8 +465,12 @@ void Comm::send(BytesView data, int dst, int tag) {
   guarded([&] { send_internal(data, dst, tag); });
 }
 
-void Comm::send_chunk(BytesView data, int dst, int tag,
-                      double wire_not_before) {
+void Comm::send_frame(Bytes frame, int dst, int tag) {
+  validate_user_tag(tag);
+  guarded([&] { send_internal(frame, dst, tag, &frame); });
+}
+
+void Comm::send_chunk(Bytes frame, int dst, int tag, double wire_not_before) {
   validate_user_tag(tag);
   guarded([&] {
     validate_peer(dst, size());
@@ -464,7 +478,7 @@ void Comm::send_chunk(BytesView data, int dst, int tag,
     // Always the eager shape, whatever the chunk size: a chunk is a
     // self-contained sealed frame, and a rendezvous handshake would
     // serialize the pipeline it exists to create.
-    post_send(data, dst, tag, wire_not_before, nullptr);
+    post_send(frame, dst, tag, wire_not_before, nullptr, &frame);
   });
 }
 
@@ -493,7 +507,8 @@ Request Comm::isend(BytesView data, int dst, int tag) {
 
 // ------------------------------------------------------------ recv side
 
-Request Comm::irecv_internal(MutBytes buf, int src, int tag) {
+Request Comm::irecv_internal(MutBytes buf, int src, int tag, Bytes* frame,
+                             std::size_t capacity) {
   validate_recv_peer(src, size());
   ft_guard(/*post=*/true);
   auto state = std::make_unique<RecvState>();
@@ -501,6 +516,8 @@ Request Comm::irecv_internal(MutBytes buf, int src, int tag) {
   state->pr.want_tag = tag;
   state->pr.want_epoch = epoch_;
   state->pr.buf = buf;
+  state->pr.frame = frame;
+  state->pr.frame_capacity = capacity;
   state->ft = ft_;
   state->epoch = epoch_;
 
@@ -605,10 +622,10 @@ Status Comm::complete_recv(PendingRecv& pr) {
   }
   if (env.rendezvous) return pull_rendezvous(pr, status);
 
-  if (env.payload.size() > pr.buf.size()) {
+  if (env.payload.size() > pr.capacity()) {
     throw MpiError("receive buffer too small: need " +
                    std::to_string(env.payload.size()) + " bytes, have " +
-                   std::to_string(pr.buf.size()));
+                   std::to_string(pr.capacity()));
   }
   const net::NetworkProfile& prof =
       world_->fabric().profile(env.world_src, wrank());
@@ -618,34 +635,56 @@ Status Comm::complete_recv(PendingRecv& pr) {
   proc_->advance(prof.recv_overhead +
                  static_cast<double>(env.payload.size()) / prof.copy_bandwidth);
   trace_span(trace::Category::kCopy, copy_begin, env.src, env.payload.size());
-  if (!env.payload.empty()) {
-    std::memcpy(pr.buf.data(), env.payload.data(), env.payload.size());
-  }
   // Exposure accounting: every relay this payload crossed could
   // observe it. What that means is the secure layer's call
   // (plaintext under hop-trusted relays, sealed bytes end-to-end).
   world_->fabric().note_relay_exposure(
       world_->fabric().relay_count(env.world_src, wrank()));
   status.bytes = env.payload.size();
-  if (arq_ != nullptr && env.damage.kind == net::FaultKind::kCorrupt) {
-    // Apply the in-flight damage at copy-out and stash the clean
-    // payload: it models the sender's retransmit buffer, which
-    // end-to-end NACK recovery (recover_damaged_recv) replays from.
-    pr.buf[env.damage.position] ^= env.damage.flip_mask;
+  const bool damaged =
+      arq_ != nullptr && env.damage.kind == net::FaultKind::kCorrupt;
+  if (damaged) {
+    // Stash the clean payload, then apply the in-flight damage at
+    // copy-out: the stash models the sender's retransmit buffer,
+    // which end-to-end NACK recovery (recover_damaged_recv) replays
+    // from.
     arq_->stash(wrank()) = {.valid = true, .src = env.src, .tag = env.tag,
                             .seq = env.arq_seq,
                             .transmissions = env.arq_transmissions,
-                            .clean = std::move(env.payload)};
+                            .clean = env.payload};
   }
+  const MutBytes got = copy_out(pr, status.bytes);
+  if (damaged) got[env.damage.position] ^= env.damage.flip_mask;
   pr.matched.reset();
   return status;
+}
+
+MutBytes Comm::copy_out(PendingRecv& pr, std::size_t n) {
+  Envelope& env = *pr.matched;
+  const BytesView src =
+      env.rendezvous ? env.rndv_data : BytesView(env.payload);
+  if (pr.frame == nullptr) {
+    if (n > 0) std::memcpy(pr.buf.data(), src.data(), n);
+    return pr.buf.first(n);
+  }
+  // The envelope owns the bytes of every eager payload and of every
+  // handed-over rendezvous frame (a rendezvous payload is never empty);
+  // only a rendezvous pull from a sender's own buffer is copied.
+  if (!env.payload.empty()) {
+    *pr.frame = std::move(env.payload);
+    pr.frame->resize(n);
+  } else {
+    const BytesView part = src.first(n);
+    pr.frame->assign(part.begin(), part.end());
+  }
+  return *pr.frame;
 }
 
 Status Comm::pull_rendezvous(PendingRecv& pr, Status status) {
   Envelope& env = *pr.matched;
   const int ws = env.world_src;
   const std::size_t len = env.rndv_data.size();
-  if (len > pr.buf.size()) {
+  if (len > pr.capacity()) {
     throw MpiError("receive buffer too small for rendezvous payload");
   }
   net::FaultInjector* faults =
@@ -770,20 +809,19 @@ Status Comm::pull_rendezvous(PendingRecv& pr, Status status) {
     if (st != nullptr) ++st->delays_absorbed;
   }
   status.bytes = fault.kind == net::FaultKind::kTruncate ? fault.new_length : len;
-  if (status.bytes > 0) {
-    std::memcpy(pr.buf.data(), env.rndv_data.data(), status.bytes);
+  if (fault.kind == net::FaultKind::kCorrupt && st != nullptr) {
+    // Deliver damaged; stash the clean copy (still valid here — the
+    // sender is parked on the handshake, and a handed-over frame is
+    // only moved out below) for end-to-end recovery.
+    ++st->damaged_deliveries;
+    arq_->stash(wrank()) = {
+        .valid = true, .src = env.src, .tag = env.tag, .seq = env.seq,
+        .transmissions = attempts,
+        .clean = Bytes(env.rndv_data.begin(), env.rndv_data.end())};
   }
+  const MutBytes got = copy_out(pr, status.bytes);
   if (fault.kind == net::FaultKind::kCorrupt) {
-    pr.buf[fault.position] ^= fault.flip_mask;
-    if (st != nullptr) {
-      // Deliver damaged; keep the clean copy (still valid here — the
-      // sender is parked on the handshake) for end-to-end recovery.
-      ++st->damaged_deliveries;
-      arq_->stash(wrank()) = {
-          .valid = true, .src = env.src, .tag = env.tag, .seq = env.seq,
-          .transmissions = attempts,
-          .clean = Bytes(env.rndv_data.begin(), env.rndv_data.end())};
-    }
+    got[fault.position] ^= fault.flip_mask;
   }
   if (st != nullptr) {
     ++st->deliveries;
@@ -870,6 +908,15 @@ Status Comm::recv(MutBytes buf, int src, int tag) {
   validate_recv_tag(tag);
   return guarded([&] {
     Request request = irecv_internal(buf, src, tag);
+    return wait(request);
+  });
+}
+
+Status Comm::recv_frame(Bytes& frame, std::size_t capacity, int src,
+                        int tag) {
+  validate_recv_tag(tag);
+  return guarded([&] {
+    Request request = irecv_internal({}, src, tag, &frame, capacity);
     return wait(request);
   });
 }

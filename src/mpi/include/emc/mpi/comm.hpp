@@ -73,6 +73,22 @@ class Comm final : public Communicator {
   Status sendrecv(BytesView senddata, int dst, int sendtag, MutBytes recvbuf,
                   int src, int recvtag) override;
 
+  /// Blocking send of a frame this rank hands over: like send(), but
+  /// @p frame's buffer itself travels in the envelope (eager) or is
+  /// what the receiver pulls (rendezvous) — no copy on either side.
+  /// Virtual time, wire reservations and fault draws are those of
+  /// send().
+  void send_frame(Bytes frame, int dst, int tag);
+
+  /// Blocking receive that hands the message's buffer over: @p frame
+  /// becomes the payload, taken by move when the envelope owns it (a
+  /// send_frame or send_chunk frame, or any eager payload), copied
+  /// otherwise; its old contents are discarded. A payload above
+  /// @p capacity bytes throws the same MpiError as recv() into a
+  /// buffer of that size. Matching, timeouts, ft checks, verifier
+  /// hooks and virtual time are those of recv().
+  Status recv_frame(Bytes& frame, std::size_t capacity, int src, int tag);
+
   /// Pipelined-chunk send primitive for the secure layer's chunked
   /// encrypt->send pipeline (docs/PIPELINE.md): always eager (a chunk
   /// is a self-contained sealed frame — rendezvous would serialize
@@ -81,7 +97,8 @@ class Comm final : public Communicator {
   /// time its helper core finished sealing it. The sender's own clock
   /// only advances by the per-message CPU overhead + copy, exactly
   /// like an eager send, so successive chunks overlap on the wire.
-  void send_chunk(BytesView data, int dst, int tag, double wire_not_before);
+  /// @p frame moves into the envelope, as with send_frame.
+  void send_chunk(Bytes frame, int dst, int tag, double wire_not_before);
 
   /// Hard ceiling on collectives per communicator: the internal tag
   /// space above kMaxUserTag fits this many 64-slot collective
@@ -174,18 +191,30 @@ class Comm final : public Communicator {
   /// envelope, on the wire no earlier than @p wire_not_before) unless
   /// @p handshake is given and the payload is above the eager
   /// threshold: then an RTS, and true — the receiver completes the
-  /// rendezvous through @p handshake.
+  /// rendezvous through @p handshake. When @p owned is given it holds
+  /// @p data's bytes and moves into the envelope instead of a copy.
   bool post_send(BytesView data, int dst, int tag, double wire_not_before,
-                 detail::RndvHandshake* handshake);
+                 detail::RndvHandshake* handshake, Bytes* owned = nullptr);
 
-  /// Sends with internal tags allowed (collectives).
-  void send_internal(BytesView data, int dst, int tag);
+  /// Sends with internal tags allowed (collectives); @p owned as in
+  /// post_send.
+  void send_internal(BytesView data, int dst, int tag,
+                     Bytes* owned = nullptr);
   Request isend_internal(BytesView data, int dst, int tag);
-  Request irecv_internal(MutBytes buf, int src, int tag);
+  /// Posts a receive into @p buf, or with @p frame a frame receive of
+  /// at most @p capacity bytes (see recv_frame).
+  Request irecv_internal(MutBytes buf, int src, int tag,
+                         Bytes* frame = nullptr, std::size_t capacity = 0);
 
   /// Completes a bound receive: sleeps to arrival, charges receiver
   /// costs, copies the payload (or executes the rendezvous pull).
   Status complete_recv(detail::PendingRecv& pr);
+
+  /// The one copy-out point of a receive: the first @p n payload bytes
+  /// of @p pr's matched envelope (eager payload or rendezvous pull)
+  /// into the receive — moved for a frame receive when the envelope
+  /// owns them, copied otherwise. Returns the delivered bytes.
+  MutBytes copy_out(detail::PendingRecv& pr, std::size_t n);
 
   /// Reports a waited request's completion to the verifier (if any).
   void note_completed(std::uint64_t& vid);

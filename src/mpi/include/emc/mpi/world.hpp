@@ -48,8 +48,10 @@ struct Envelope {
   std::uint64_t seq = 0;     ///< global send order (deterministic matching)
   double arrival = 0.0;      ///< eager: payload arrival; rndv: RTS arrival
   bool rendezvous = false;
-  Bytes payload;             ///< eager only
-  BytesView rndv_data{};     ///< rndv: view into the sender's buffer
+  /// Eager: the payload. Rendezvous: empty, or the frame the sender
+  /// handed over (Comm::send_frame), which rndv_data then views.
+  Bytes payload;
+  BytesView rndv_data{};     ///< rndv: the bytes the receiver pulls
   RndvHandshake* handshake = nullptr;  ///< rndv only
   // Reliability-layer bookkeeping (only set when the ARQ channel is
   // active). With reliability on, `payload` stays clean in the mailbox
@@ -77,7 +79,16 @@ struct PendingRecv {
   int want_tag = kAnyTag;
   std::uint64_t want_epoch = 0;  ///< posting communicator's epoch
   MutBytes buf{};
+  /// Frame receive (Comm::recv_frame): the payload lands here instead
+  /// of in `buf`, taken by move when the envelope owns it, and may be
+  /// at most `frame_capacity` bytes.
+  Bytes* frame = nullptr;
+  std::size_t frame_capacity = 0;
   std::unique_ptr<Envelope> matched;  ///< set when an envelope binds
+
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return frame != nullptr ? frame_capacity : buf.size();
+  }
   sim::Waitable cond;
 };
 

@@ -318,8 +318,8 @@ class SecureComm final : public mpi::Communicator {
   double seal_into(BytesView pt, MutBytes out, BytesView aad = {},
                    int peer = -1, bool on_helper = false);
 
-  /// Seals a point-to-point payload for @p dst into a fresh wire
-  /// buffer, binding the channel context when configured.
+  /// Seals a point-to-point payload for @p dst into a wire buffer from
+  /// the frame pool, binding the channel context when configured.
   Bytes seal_p2p(BytesView data, int dst, int tag);
 
   /// Inverse of seal_into; throws IntegrityError on tag failure.
@@ -377,8 +377,10 @@ class SecureComm final : public mpi::Communicator {
   /// Completes a receive whose first frame (@p ws) is in @p wire,
   /// receiving more frames until the message is whole: from the
   /// (@p src, @p tag) match after a duplicate, from the first chunk's
-  /// channel for the rest of a pipelined message.
-  mpi::Status receive(MutBytes wire, mpi::Status ws, MutBytes user, int src,
+  /// channel for the rest of a pipelined message. Each further frame
+  /// is taken into @p wire (Comm::recv_frame) after the one before
+  /// went back to the frame pool.
+  mpi::Status receive(Bytes& wire, mpi::Status ws, MutBytes user, int src,
                       int tag);
 
   /// Accepts one frame: classify, dedup or authenticate, on failure
@@ -446,9 +448,10 @@ class SecureComm final : public mpi::Communicator {
   /// charge_crypto is on — measured wall time by default, the analytic
   /// cost_model when one is configured. Tags the billed interval for
   /// the tracing layer (crypto_encrypt / crypto_decrypt). Returns the
-  /// measured host seconds.
-  double charged_crypto(const std::function<void()>& work, std::size_t bytes,
-                        bool encrypt);
+  /// measured host seconds. A template, so the per-seal lambda is not
+  /// boxed into a heap-allocated std::function.
+  template <typename Work>
+  double charged_crypto(Work&& work, std::size_t bytes, bool encrypt);
 
   /// Analytic cost_model seconds of a seal/open of @p bytes.
   [[nodiscard]] double model_cost(std::size_t bytes, bool encrypt) const;

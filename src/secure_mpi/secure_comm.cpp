@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <new>
 
 #include "emc/common/rng.hpp"
 #include "emc/keys/keyring.hpp"
@@ -17,13 +19,97 @@ using crypto::kGcmNonceBytes;
 using crypto::kGcmTagBytes;
 using crypto::kWireOverhead;
 
+/// Recycled wire buffers of this host thread. Every rank of every
+/// World on the thread shares it, so a frame one rank sealed and sent
+/// can come back from its receiver and carry the next seal without a
+/// fresh allocation, and it survives World teardown: large buffers
+/// that glibc would otherwise hand back to the kernel and fault in
+/// again (docs/BENCHMARKING.md). It holds only sealed frames (nonce ||
+/// ct || tag, maybe behind a chunk header), never plaintext.
+class FramePool {
+ public:
+  /// A buffer of @p n bytes whose contents are unspecified: the
+  /// smallest retained one holding n to n + n/4 bytes, shrunk without
+  /// touching its bytes, else a fresh one. The cap keeps a buffer in
+  /// its size class: shrunk for a much smaller frame, it could never
+  /// carry its own size again without zero-filling.
+  Bytes take(std::size_t n) {
+    auto best = free_.end();
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+      if (it->size() >= n && it->size() - n <= n / 4 &&
+          (best == free_.end() || it->size() < best->size())) {
+        best = it;
+      }
+    }
+    if (best == free_.end()) return Bytes(n);
+    std::iter_swap(best, free_.end() - 1);
+    Bytes b = std::move(free_.back());
+    free_.pop_back();
+    retained_ -= b.capacity();
+    b.resize(n);
+    return b;
+  }
+
+  /// Retains @p b's buffer (leaving @p b empty), evicting the smallest
+  /// retained buffers to stay within kRetainBytes.
+  void give(Bytes& b) {
+    const std::size_t cap = b.capacity();
+    if (b.empty() || cap > kRetainBytes) {
+      Bytes().swap(b);
+      return;
+    }
+    while (retained_ + cap > kRetainBytes) {
+      const auto smallest = std::ranges::min_element(
+          free_, {}, [](const Bytes& f) { return f.capacity(); });
+      retained_ -= smallest->capacity();
+      std::iter_swap(smallest, free_.end() - 1);
+      free_.pop_back();
+    }
+    try {
+      free_.push_back(std::move(b));
+    } catch (const std::bad_alloc&) {
+      return;  // runs in ~Frame: keep the buffer out of the pool instead
+    }
+    retained_ += cap;
+  }
+
+ private:
+  /// Enough for a 4 MiB serial frame plus a 4 MiB message's pipelined
+  /// chunks in flight; a bound, since an unbounded pool keeps the
+  /// high-water mark of every World the thread ever ran.
+  static constexpr std::size_t kRetainBytes = std::size_t{8} << 20;
+  std::vector<Bytes> free_;
+  std::size_t retained_ = 0;  ///< total capacity in free_
+};
+
+FramePool& frame_pool() {
+  static thread_local FramePool pool;
+  return pool;
+}
+
+/// A pooled wire buffer that goes back to the pool when it dies.
+struct Frame {
+  Frame() = default;
+  /// @p n bytes; zeroed for a buffer a collective receives into, since
+  /// a truncated block there must never be completed by stale bytes.
+  explicit Frame(std::size_t n, bool zeroed = false)
+      : bytes(frame_pool().take(n)) {
+    if (zeroed) std::ranges::fill(bytes, 0);
+  }
+  ~Frame() { frame_pool().give(bytes); }
+  Frame(const Frame&) = delete;
+  Frame& operator=(const Frame&) = delete;
+
+  Bytes bytes;
+};
+
 /// Request state for a non-blocking encrypted send: keeps the wire
 /// buffer alive until completion (rendezvous references it in place).
 /// A pipelined send has no inner request: every chunk was already
 /// dispatched in isend (send_chunk never blocks — the sender only pays
 /// per-chunk CPU overhead), so it is born complete with `status`.
 struct SecureSendState final : mpi::detail::RequestState {
-  Bytes wire;
+  Frame wire;
   mpi::Request inner;
   mpi::Status status;
 };
@@ -33,7 +119,7 @@ struct SecureSendState final : mpi::detail::RequestState {
 /// `src`/`tag` are kept so wait() can re-post the inner receive after
 /// absorbing a benign fabric duplicate.
 struct SecureRecvState final : mpi::detail::RequestState {
-  Bytes wire;
+  Frame wire;
   MutBytes user;
   int src = mpi::kAnySource;
   int tag = mpi::kAnyTag;
@@ -112,8 +198,9 @@ SecureComm::SecureComm(mpi::Comm& comm, const SecureConfig& config)
   }
 }
 
-double SecureComm::charged_crypto(const std::function<void()>& work,
-                                  std::size_t bytes, bool encrypt) {
+template <typename Work>
+double SecureComm::charged_crypto(Work&& work, std::size_t bytes,
+                                  bool encrypt) {
   const auto category = encrypt ? trace::Category::kCryptoEncrypt
                                 : trace::Category::kCryptoDecrypt;
   if (!config_.charge_crypto || config_.cost_model) {
@@ -136,7 +223,7 @@ double SecureComm::charged_crypto(const std::function<void()>& work,
   if (trace::TraceRecorder* rec = comm_->world().trace()) {
     rec->set_charge_category(comm_->process().index(), category);
   }
-  return comm_->process().charge(work);
+  return comm_->process().charge(std::ref(work));
 }
 
 double SecureComm::model_cost(std::size_t bytes, bool encrypt) const {
@@ -423,11 +510,10 @@ void SecureComm::send_pipelined(BytesView data, int dst, int tag) {
                                                 chunk);
   const std::uint64_t msg_id = pipe_msg_id_++;
   ++counters_.messages_pipelined;
-  Bytes frame;
   for (std::uint32_t k = 0; k < count; ++k) {
     const std::size_t off = std::size_t{k} * chunk;
     const std::size_t len = std::min(chunk, data.size() - off);
-    frame.resize(kPipeHeaderBytes + wire_size(len));
+    Bytes frame = frame_pool().take(kPipeHeaderBytes + wire_size(len));
     store_pipe_header(frame.data(), {.msg_id = msg_id,
                                      .index = k,
                                      .count = count,
@@ -446,7 +532,7 @@ void SecureComm::send_pipelined(BytesView data, int dst, int tag) {
     // core sealed it; the sender's own clock only pays the per-chunk
     // CPU overhead + copy, which is how encryption hides behind the
     // transfer of earlier chunks.
-    comm_->send_chunk(frame, dst, tag, sealed_at);
+    comm_->send_chunk(std::move(frame), dst, tag, sealed_at);
   }
 }
 
@@ -634,15 +720,17 @@ bool SecureComm::accept(MutBytes frame, int src, int tag, MutBytes user,
   }
 }
 
-mpi::Status SecureComm::receive(MutBytes wire, mpi::Status ws, MutBytes user,
+mpi::Status SecureComm::receive(Bytes& wire, mpi::Status ws, MutBytes user,
                                 int src, int tag) {
   Inbound in;
   while (!accept(MutBytes(wire).first(ws.bytes), ws.source, ws.tag, user,
                  in)) {
     // A duplicate was absorbed, or a pipelined message has chunks to
     // come — those arrive on the channel of its first chunk.
-    ws = in.pipe != nullptr ? comm_->recv(wire, ws.source, ws.tag)
-                            : comm_->recv(wire, src, tag);
+    frame_pool().give(wire);
+    ws = comm_->recv_frame(wire, recv_wire_capacity(user.size()),
+                           in.pipe != nullptr ? ws.source : src,
+                           in.pipe != nullptr ? ws.tag : tag);
   }
   if (in.pipe == nullptr) return {ws.source, ws.tag, in.length};
   in.pipe->next_id = in.msg_id + 1;
@@ -660,7 +748,7 @@ mpi::Status SecureComm::receive(MutBytes wire, mpi::Status ws, MutBytes user,
 // ------------------------------------------------------- point-to-point
 
 Bytes SecureComm::seal_p2p(BytesView data, int dst, int tag) {
-  Bytes wire(wire_size(data.size()));
+  Bytes wire = frame_pool().take(wire_size(data.size()));
   seal_into(data, wire,
             p2p_aad(rank(), dst, tag,
                     config_.bind_context ? next_send_seq(dst, tag) : 0),
@@ -676,17 +764,19 @@ void SecureComm::send(BytesView data, int dst, int tag) {
     send_pipelined(data, dst, tag);
     return;
   }
-  comm_->send(seal_p2p(data, dst, tag), dst, tag);
+  comm_->send_frame(seal_p2p(data, dst, tag), dst, tag);
 }
 
 mpi::Status SecureComm::recv(MutBytes buf, int src, int tag) {
   mpi::validate_recv_tag(tag);
   mpi::validate_recv_peer(src, size());
-  // Sized so any frame fits: an unchunked message of up to buf.size()
+  // Capacity for any frame: an unchunked message of up to buf.size()
   // payload bytes, or one pipelined chunk (header + AEAD frame of a
   // chunk no larger than the message).
-  Bytes wire(recv_wire_capacity(buf.size()));
-  return receive(wire, comm_->recv(wire, src, tag), buf, src, tag);
+  Frame wire;
+  const mpi::Status ws = comm_->recv_frame(
+      wire.bytes, recv_wire_capacity(buf.size()), src, tag);
+  return receive(wire.bytes, ws, buf, src, tag);
 }
 
 mpi::Request SecureComm::isend(BytesView data, int dst, int tag) {
@@ -700,8 +790,8 @@ mpi::Request SecureComm::isend(BytesView data, int dst, int tag) {
     send_pipelined(data, dst, tag);
     state->status = mpi::Status{dst, tag, data.size()};
   } else {
-    state->wire = seal_p2p(data, dst, tag);
-    state->inner = comm_->isend(state->wire, dst, tag);
+    state->wire.bytes = seal_p2p(data, dst, tag);
+    state->inner = comm_->isend(state->wire.bytes, dst, tag);
   }
   return mpi::Request(std::move(state));
 }
@@ -710,11 +800,11 @@ mpi::Request SecureComm::irecv(MutBytes buf, int src, int tag) {
   mpi::validate_recv_tag(tag);
   mpi::validate_recv_peer(src, size());
   auto state = std::make_unique<SecureRecvState>();
-  state->wire.resize(recv_wire_capacity(buf.size()));
+  state->wire.bytes = frame_pool().take(recv_wire_capacity(buf.size()));
   state->user = buf;
   state->src = src;
   state->tag = tag;
-  state->inner = comm_->irecv(state->wire, src, tag);
+  state->inner = comm_->irecv(state->wire.bytes, src, tag);
   return mpi::Request(std::move(state));
 }
 
@@ -728,7 +818,7 @@ mpi::Status SecureComm::wait(mpi::Request& request) {
                                      : send_state->status;
   }
   if (auto* recv_state = dynamic_cast<SecureRecvState*>(owned.get())) {
-    return receive(recv_state->wire, comm_->wait(recv_state->inner),
+    return receive(recv_state->wire.bytes, comm_->wait(recv_state->inner),
                    recv_state->user, recv_state->src, recv_state->tag);
   }
   throw mpi::MpiError("request does not belong to this secure communicator");
@@ -769,10 +859,10 @@ void SecureComm::barrier() { comm_->barrier(); }
 void SecureComm::bcast(MutBytes data, int root) {
   mpi::validate_peer(root, size());
   const Bytes aad = coll_aad(root, -1, coll_seq_++);
-  Bytes wire(wire_size(data.size()));
-  if (rank() == root) seal_into(data, wire, aad);
-  comm_->bcast(wire, root);
-  if (rank() != root) open_into(wire, data, aad);
+  Frame wire(wire_size(data.size()), /*zeroed=*/rank() != root);
+  if (rank() == root) seal_into(data, wire.bytes, aad);
+  comm_->bcast(wire.bytes, root);
+  if (rank() != root) open_into(wire.bytes, data, aad);
 }
 
 void SecureComm::allgather(BytesView sendpart, MutBytes recvall) {
@@ -784,12 +874,12 @@ void SecureComm::allgather(BytesView sendpart, MutBytes recvall) {
   const std::size_t wire_block = wire_size(block);
   const std::uint64_t seq = coll_seq_++;
 
-  Bytes wire_send(wire_block);
-  seal_into(sendpart, wire_send, coll_aad(rank(), -1, seq));
-  Bytes wire_all(wire_block * n);
-  comm_->allgather(wire_send, wire_all);
+  Frame wire_send(wire_block);
+  seal_into(sendpart, wire_send.bytes, coll_aad(rank(), -1, seq));
+  Frame wire_all(wire_block * n, /*zeroed=*/true);
+  comm_->allgather(wire_send.bytes, wire_all.bytes);
   for (std::size_t i = 0; i < n; ++i) {
-    open_into(BytesView(wire_all).subspan(i * wire_block, wire_block),
+    open_into(BytesView(wire_all.bytes).subspan(i * wire_block, wire_block),
               recvall.subspan(i * block, block),
               coll_aad(static_cast<int>(i), -1, seq));
   }
@@ -808,16 +898,16 @@ void SecureComm::alltoall(BytesView sendbuf, MutBytes recvbuf,
   const std::size_t wire_block = wire_size(block);
   const std::uint64_t seq = coll_seq_++;
 
-  Bytes enc_sendbuf(wire_block * n);
+  Frame enc_sendbuf(wire_block * n);
   for (std::size_t i = 0; i < n; ++i) {
     seal_into(sendbuf.subspan(i * block, block),
-              MutBytes(enc_sendbuf).subspan(i * wire_block, wire_block),
+              MutBytes(enc_sendbuf.bytes).subspan(i * wire_block, wire_block),
               coll_aad(rank(), static_cast<int>(i), seq));
   }
-  Bytes enc_recvbuf(wire_block * n);
-  comm_->alltoall(enc_sendbuf, enc_recvbuf, wire_block);
+  Frame enc_recvbuf(wire_block * n, /*zeroed=*/true);
+  comm_->alltoall(enc_sendbuf.bytes, enc_recvbuf.bytes, wire_block);
   for (std::size_t i = 0; i < n; ++i) {
-    open_into(BytesView(enc_recvbuf).subspan(i * wire_block, wire_block),
+    open_into(BytesView(enc_recvbuf.bytes).subspan(i * wire_block, wire_block),
               recvbuf.subspan(i * block, block),
               coll_aad(static_cast<int>(i), rank(), seq));
   }
@@ -852,18 +942,18 @@ void SecureComm::alltoallv(BytesView sendbuf,
   }
 
   const std::uint64_t seq = coll_seq_++;
-  Bytes enc_sendbuf(send_total);
+  Frame enc_sendbuf(send_total);
   for (std::size_t i = 0; i < n; ++i) {
     seal_into(sendbuf.subspan(senddispls[i], sendcounts[i]),
-              MutBytes(enc_sendbuf)
+              MutBytes(enc_sendbuf.bytes)
                   .subspan(wire_senddispls[i], wire_sendcounts[i]),
               coll_aad(rank(), static_cast<int>(i), seq));
   }
-  Bytes enc_recvbuf(recv_total);
-  comm_->alltoallv(enc_sendbuf, wire_sendcounts, wire_senddispls,
-                   enc_recvbuf, wire_recvcounts, wire_recvdispls);
+  Frame enc_recvbuf(recv_total, /*zeroed=*/true);
+  comm_->alltoallv(enc_sendbuf.bytes, wire_sendcounts, wire_senddispls,
+                   enc_recvbuf.bytes, wire_recvcounts, wire_recvdispls);
   for (std::size_t i = 0; i < n; ++i) {
-    open_into(BytesView(enc_recvbuf)
+    open_into(BytesView(enc_recvbuf.bytes)
                   .subspan(wire_recvdispls[i], wire_recvcounts[i]),
               recvbuf.subspan(recvdispls[i], recvcounts[i]),
               coll_aad(static_cast<int>(i), rank(), seq));
@@ -880,13 +970,13 @@ void SecureComm::gather(BytesView sendpart, MutBytes recvall, int root) {
   const std::size_t wire_block = wire_size(block);
   const std::uint64_t seq = coll_seq_++;
 
-  Bytes wire_send(wire_block);
-  seal_into(sendpart, wire_send, coll_aad(rank(), root, seq));
-  Bytes wire_all(rank() == root ? wire_block * n : 0);
-  comm_->gather(wire_send, wire_all, root);
+  Frame wire_send(wire_block);
+  seal_into(sendpart, wire_send.bytes, coll_aad(rank(), root, seq));
+  Frame wire_all(rank() == root ? wire_block * n : 0, /*zeroed=*/true);
+  comm_->gather(wire_send.bytes, wire_all.bytes, root);
   if (rank() != root) return;
   for (std::size_t i = 0; i < n; ++i) {
-    open_into(BytesView(wire_all).subspan(i * wire_block, wire_block),
+    open_into(BytesView(wire_all.bytes).subspan(i * wire_block, wire_block),
               recvall.subspan(i * block, block),
               coll_aad(static_cast<int>(i), root, seq));
   }
@@ -899,21 +989,21 @@ void SecureComm::scatter(BytesView sendall, MutBytes recvpart, int root) {
   const std::size_t wire_block = wire_size(block);
 
   const std::uint64_t seq = coll_seq_++;
-  Bytes wire_all;
+  Frame wire_all;
   if (rank() == root) {
     if (sendall.size() != block * n) {
       throw mpi::MpiError("scatter: root send buffer must be size()*block");
     }
-    wire_all.resize(wire_block * n);
+    wire_all.bytes = frame_pool().take(wire_block * n);
     for (std::size_t i = 0; i < n; ++i) {
       seal_into(sendall.subspan(i * block, block),
-                MutBytes(wire_all).subspan(i * wire_block, wire_block),
+                MutBytes(wire_all.bytes).subspan(i * wire_block, wire_block),
                 coll_aad(root, static_cast<int>(i), seq));
     }
   }
-  Bytes wire_recv(wire_block);
-  comm_->scatter(wire_all, wire_recv, root);
-  open_into(wire_recv, recvpart, coll_aad(root, rank(), seq));
+  Frame wire_recv(wire_block, /*zeroed=*/true);
+  comm_->scatter(wire_all.bytes, wire_recv.bytes, root);
+  open_into(wire_recv.bytes, recvpart, coll_aad(root, rank(), seq));
 }
 
 double run_secure_world(const mpi::WorldConfig& world_config,

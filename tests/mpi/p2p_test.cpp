@@ -2,6 +2,8 @@
 // eager vs rendezvous, non-blocking completion, and error paths.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "emc/common/rng.hpp"
 #include "emc/mpi/comm.hpp"
 
@@ -331,6 +333,72 @@ TEST(P2p, VirtualTimeIsDeterministic) {
     });
   };
   EXPECT_DOUBLE_EQ(run_once(), run_once());
+}
+
+TEST(Comm, FramesChangeHandsWithoutCopy) {
+  // The buffer handed to send_frame/send_chunk is the very one
+  // recv_frame returns: for a posted eager receive, a rendezvous pull,
+  // a self-send, and a frame already waiting in the unexpected queue.
+  WorldConfig config = small_world(2, 1);
+  config.cluster.inter = net::infiniband_qdr_40g();
+  const std::size_t eager = 1024;
+  const std::size_t rndv = 64 * 1024;
+  ASSERT_GT(rndv, config.cluster.inter.eager_threshold);
+  const std::uint8_t* sent[3] = {};
+  std::string frame_error;
+  std::string recv_error;
+  run_world(config, [&](Comm& comm) {
+    // @p expect is read once the frame arrived: the sender records it.
+    const auto take = [&](std::size_t capacity, int src, int tag,
+                          const std::uint8_t* const& expect,
+                          std::uint8_t fill, std::size_t bytes) {
+      Bytes frame;
+      const Status st = comm.recv_frame(frame, capacity, src, tag);
+      EXPECT_EQ(st.bytes, bytes);
+      EXPECT_EQ(frame.data(), expect) << "tag " << tag << " was copied";
+      EXPECT_EQ(frame, Bytes(bytes, fill));
+    };
+    if (comm.rank() == 0) {
+      comm.process().advance(1e-3);  // rank 1's receive is posted first
+      Bytes posted(eager, 0x11);
+      sent[0] = posted.data();
+      comm.send_frame(std::move(posted), 1, 1);
+      Bytes pulled(rndv, 0x22);
+      sent[1] = pulled.data();
+      comm.send_frame(std::move(pulled), 1, 2);
+      Bytes waiting(eager, 0x44);
+      sent[2] = waiting.data();
+      comm.send_chunk(std::move(waiting), 1, 4, 0.0);
+      Bytes self(eager, 0x33);
+      const std::uint8_t* self_data = self.data();
+      comm.send_frame(std::move(self), 0, 3);
+      take(eager, 0, 3, self_data, 0x33, eager);
+      comm.send_frame(Bytes(eager, 0x55), 1, 5);
+      comm.send(Bytes(eager, 0x55), 1, 6);
+      comm.barrier();
+      return;
+    }
+    take(eager, 0, 1, sent[0], 0x11, eager);
+    take(rndv, 0, 2, sent[1], 0x22, rndv);
+    // An oversize frame fails exactly like recv into a buffer of the
+    // frame receive's capacity.
+    try {
+      Bytes frame;
+      (void)comm.recv_frame(frame, eager / 2, 0, 5);
+    } catch (const MpiError& e) {
+      frame_error = e.what();
+    }
+    try {
+      Bytes buf(eager / 2);
+      (void)comm.recv(buf, 0, 6);
+    } catch (const MpiError& e) {
+      recv_error = e.what();
+    }
+    comm.barrier();  // rank 0 sent tag 4 before entering
+    take(eager, 0, 4, sent[2], 0x44, eager);
+  });
+  EXPECT_NE(frame_error.find("receive buffer too small"), std::string::npos);
+  EXPECT_EQ(frame_error, recv_error);
 }
 
 }  // namespace

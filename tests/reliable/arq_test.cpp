@@ -337,6 +337,79 @@ TEST(ReliableSecure, AttackerInjectionStillThrowsIntegrityError) {
   });
 }
 
+/// One line fault on a handed-over frame (Comm::send_frame /
+/// recv_frame), with or without the ARQ.
+struct FrameFault {
+  const char* name;
+  std::size_t bytes;  ///< 64 B rides eager, 128 KiB the rendezvous pull
+  net::FaultKind kind;
+  bool arq;
+};
+
+class ReliableFrame : public ::testing::TestWithParam<FrameFault> {};
+
+TEST_P(ReliableFrame, TakenFrameCarriesTheDamageAndArqRestoresIt) {
+  // The frame still changes hands by move under a fault; the damage
+  // lands in the taken frame itself. With the ARQ a corrupted frame's
+  // clean bytes come back through recover_damaged_recv and a truncated
+  // one is NACKed at the link layer; without it a truncated frame
+  // arrives short and nothing can restore it.
+  const FrameFault& c = GetParam();
+  WorldConfig config = arq_world(2, 1, nth_fault(c.kind));
+  config.reliability.enabled = c.arq;
+  World world(config);
+  const std::uint8_t* sent = nullptr;
+  world.run([&](Comm& comm) {
+    if (comm.rank() == 0) {
+      Bytes frame(c.bytes, 0x5A);
+      sent = frame.data();
+      comm.send_frame(std::move(frame), 1, 1);
+      return;
+    }
+    Bytes frame;
+    const Status st = comm.recv_frame(frame, c.bytes, 0, 1);
+    EXPECT_EQ(frame.data(), sent);
+    EXPECT_EQ(st.bytes, frame.size());
+    const Bytes clean(frame.size(), 0x5A);
+    if (c.kind == net::FaultKind::kTruncate) {
+      EXPECT_EQ(frame.size() < c.bytes, !c.arq);
+      EXPECT_EQ(frame, clean);
+      EXPECT_FALSE(comm.recover_damaged_recv(frame, 0, 1));
+      return;
+    }
+    ASSERT_EQ(frame.size(), c.bytes);
+    int flipped = 0;
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      flipped += std::popcount(static_cast<unsigned>(frame[i] ^ clean[i]));
+    }
+    EXPECT_EQ(flipped, 1);
+    EXPECT_EQ(comm.recover_damaged_recv(frame, 0, 1), c.arq);
+    EXPECT_EQ(frame == clean, c.arq);
+  });
+  if (c.arq && c.kind == net::FaultKind::kTruncate) {
+    EXPECT_EQ(world.reliability()->stats().link_nacks, 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, ReliableFrame,
+    ::testing::Values(
+        FrameFault{"EagerCorruptArq", 64, net::FaultKind::kCorrupt, true},
+        FrameFault{"EagerCorrupt", 64, net::FaultKind::kCorrupt, false},
+        FrameFault{"EagerTruncateArq", 64, net::FaultKind::kTruncate, true},
+        FrameFault{"EagerTruncate", 64, net::FaultKind::kTruncate, false},
+        FrameFault{"RndvCorruptArq", 128 * 1024, net::FaultKind::kCorrupt,
+                   true},
+        FrameFault{"RndvCorrupt", 128 * 1024, net::FaultKind::kCorrupt,
+                   false},
+        FrameFault{"RndvTruncateArq", 128 * 1024, net::FaultKind::kTruncate,
+                   true},
+        FrameFault{"RndvTruncate", 128 * 1024, net::FaultKind::kTruncate,
+                   false}),
+    [](const ::testing::TestParamInfo<FrameFault>& param) {
+      return std::string(param.param.name);
+    });
+
 TEST(ReliableDegrade, DeadLinkRaisesPeerUnreachableAndSurvivorsFinish) {
   // Scripted dead link 0 -> 1: every transmission attempt of the
   // first message is dropped until the retry budget runs out. The
