@@ -90,7 +90,7 @@ CampaignResult run_campaign(bool secured, std::size_t msg_bytes,
   r.end = world.run([&](mpi::Comm& comm) {
     secure::SecureConfig sc;
     sc.provider = "boringssl-sim";
-    sc.charge_crypto = false;  // functional campaign, not a timing one
+    sc.cost_model = secure::CryptoCostModel{};  // functional campaign, not a timing one
     sc.bind_context = true;
     sc.replay_window = 16;
     secure::SecureComm secure(comm, sc);
@@ -166,7 +166,7 @@ RecoveryResult run_recovery(std::size_t msg_bytes, std::uint32_t messages,
   r.end = world.run([&](mpi::Comm& comm) {
     secure::SecureConfig sc;
     sc.provider = "boringssl-sim";
-    sc.charge_crypto = false;
+    sc.cost_model = secure::CryptoCostModel{};
     sc.bind_context = true;
     sc.replay_window = 16;
     secure::SecureComm secure(comm, sc);
@@ -281,9 +281,9 @@ FtCell run_ft_cell(bool nas_workload, bool secured, int ranks,
         sec ? static_cast<mpi::Communicator&>(*sec) : comm;
 
     // One workload step on @p ch; returns whether its result verified.
-    const auto step = [&](mpi::Communicator& ch, sim::Process& proc) {
+    const auto step = [&](mpi::Communicator& ch, mpi::Comm& plain) {
       if (nas_workload) {
-        return nas::run_cg(ch, proc, nas::ProblemClass::kS).verified;
+        return nas::run_cg(ch, plain, nas::ProblemClass::kS).verified;
       }
       Bytes part(4 * 1024, static_cast<std::uint8_t>(0x30 + ch.rank()));
       Bytes all(part.size() * static_cast<std::size_t>(ch.size()));
@@ -304,7 +304,7 @@ FtCell run_ft_cell(bool nas_workload, bool secured, int ranks,
     bool revoked_seen = false;
     for (int it = 0; it < 100000 && !revoked_seen; ++it) {
       try {
-        (void)step(pre, comm.process());
+        (void)step(pre, comm);
       } catch (const ft::RevokedError& e) {
         revoked[me] = e.revoked_at;
         revoked_seen = true;
@@ -339,7 +339,7 @@ FtCell run_ft_cell(bool nas_workload, bool secured, int ranks,
     // survivor must verify it end to end with zero data errors.
     bool good = true;
     const int rounds = nas_workload ? 1 : 4;
-    for (int i = 0; i < rounds; ++i) good &= step(*post, next->process());
+    for (int i = 0; i < rounds; ++i) good &= step(*post, *next);
     workload_ok[me] = good ? 1 : 0;
   });
 

@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
             ring->install(peer, Bytes(keys::kChainBytes, 0xab), plain.now());
             secure::SecureConfig sc;
             sc.nonce_mode = secure::NonceMode::kCounter;
-            sc.charge_crypto = false;
+            sc.cost_model = secure::CryptoCostModel{};
             sc.nonce_rekey_threshold = 16;  // per-epoch seal budget
             sc.keyring = ring;
             secure::SecureComm comm(plain, sc);

@@ -44,7 +44,7 @@ MeasureResult kernel_time(const net::NetworkProfile& profile,
           comm = secure_comm.get();
         }
         const nas::KernelResult r =
-            nas::run_kernel(kernel, *comm, plain.process(), cls);
+            nas::run_kernel(kernel, *comm, plain, cls);
         if (!r.verified) all_verified = false;
       },
       [](double elapsed) { return elapsed; });
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
           secure_comm = std::make_unique<secure::SecureComm>(plain, scfg);
           comm = secure_comm.get();
         }
-        (void)nas::run_kernel(nas::Kernel::kCG, *comm, plain.process(),
+        (void)nas::run_kernel(nas::Kernel::kCG, *comm, plain,
                               nas::ProblemClass::kS);
       };
       runs.push_back(std::move(run));

@@ -73,7 +73,7 @@ MeasureResult cg_time(const net::NetworkProfile& profile,
                                                     secure_config_for(lib));
           comm = sc.get();
         }
-        (void)nas::run_cg(*comm, plain.process(), nas::ProblemClass::kW);
+        (void)nas::run_cg(*comm, plain, nas::ProblemClass::kW);
       },
       [](double elapsed) { return elapsed; });
 }

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   {
     nas::KernelResult result;
     const double t = mpi::run_world(world, [&](mpi::Comm& comm) {
-      result = nas::run_cg(comm, comm.process(), cls);
+      result = nas::run_cg(comm, comm, cls);
     });
     baseline_ms = t * 1e3;
     std::cout << std::left << std::setw(18) << "unencrypted"
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     nas::KernelResult result;
     const double t = secure::run_secure_world(
         world, config, [&](secure::SecureComm& comm) {
-          result = nas::run_cg(comm, comm.plain().process(), cls);
+          result = nas::run_cg(comm, comm.plain(), cls);
         });
     const double ms = t * 1e3;
     std::cout << std::left << std::setw(18) << provider.name

@@ -8,6 +8,9 @@
 #   scripts/check_oracle.sh                # uses build/bench
 #   scripts/check_oracle.sh BIN_DIR        # benches from another build
 #   scripts/check_oracle.sh BIN_DIR OUT    # also keeps CSVs and traces in OUT
+#   scripts/check_oracle.sh BIN_DIR OUT REF
+#       # also cmp's the four Chrome traces with those in REF, the OUT
+#       # of an earlier run (e.g. of the parent commit's build)
 #
 # bench_multipair is left out: it is reproducible but takes over a minute.
 set -euo pipefail
@@ -46,5 +49,18 @@ for name in "${csvs[@]}"; do
     failed=1
   fi
 done
-[ "$failed" -eq 0 ] && echo "oracle: ok (${#csvs[@]} CSVs)" || echo "oracle: FAILED"
+checked="${#csvs[@]} CSVs"
+if [ $# -ge 3 ]; then
+  ref=$(cd "$3" && pwd)
+  for name in wan pipeline keys pingpong; do
+    if cmp -s "trace_$name.json" "$ref/trace_$name.json"; then
+      echo "same    trace_$name.json"
+    else
+      echo "DIFFERS trace_$name.json (vs $ref)"
+      failed=1
+    fi
+  done
+  checked="$checked, 4 traces"
+fi
+[ "$failed" -eq 0 ] && echo "oracle: ok ($checked)" || echo "oracle: FAILED"
 exit "$failed"

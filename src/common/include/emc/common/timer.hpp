@@ -22,9 +22,6 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed microseconds since construction/reset.
-  [[nodiscard]] double micros() const noexcept { return seconds() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -155,9 +155,6 @@ class LinkKeyring {
   [[nodiscard]] const RatchetConfig& ratchet() const noexcept {
     return ratchet_;
   }
-  [[nodiscard]] std::size_t cached_sessions() const noexcept {
-    return cache_.size();
-  }
 
  private:
   struct Grace {

@@ -6,9 +6,15 @@
 #include <memory>
 #include <utility>
 
+#include "emc/common/timer.hpp"
 #include "emc/mpi/validate.hpp"
 
 namespace emc::mpi {
+
+namespace {
+/// Wire size of a rendezvous RTS or CTS control message.
+constexpr std::size_t kRndvCtrlBytes = 64;
+}  // namespace
 
 namespace detail {
 namespace {
@@ -152,6 +158,20 @@ decltype(auto) Comm::guarded(F&& f) {
 }
 
 void Comm::sleep_until(double t) { proc_->advance(t - proc_->now()); }
+
+double Comm::charge(const std::function<void()>& work,
+                    trace::Category category) {
+  // EMC_LINT_ALLOW(det-clock): measurement-mode billing — host time is
+  // read once around the charged work and converted to virtual time;
+  // deterministic runs use cpu_scale = 0 or the analytic cost model.
+  WallTimer timer;
+  const double begin = proc_->now();
+  work();
+  const double elapsed = timer.seconds();
+  proc_->advance(elapsed * world_->config().cpu_scale);
+  if (trc_ != nullptr) trc_->record(wrank(), category, begin, proc_->now());
+  return elapsed;
+}
 
 void Comm::trace_span(trace::Category cat, double begin, int peer,
                       std::uint64_t bytes) {
@@ -411,7 +431,7 @@ bool Comm::post_send(BytesView data, int dst, int tag, double wire_not_before,
   env->tag = tag;
   env->seq = world_->next_seq();
   if (handshake != nullptr) {
-    const std::size_t ctrl = world_->config().ctrl_bytes;
+    const std::size_t ctrl = kRndvCtrlBytes;
     env->rendezvous = true;
     if (owned != nullptr) {
       env->payload = std::move(*owned);
@@ -710,7 +730,7 @@ Status Comm::pull_rendezvous(PendingRecv& pr, Status status) {
   // CTS back to the sender, then an RDMA-style pull of the payload
   // through the sender's egress NIC. The sender CPU does not
   // participate (zero-copy), so only its NIC is reserved.
-  const std::size_t ctrl = world_->config().ctrl_bytes;
+  const std::size_t ctrl = kRndvCtrlBytes;
   const double handshake_start = std::max(proc_->now(), env.arrival);
   const net::PathTimes cts = world_->fabric().reserve_route(
       wrank(), ws, ctrl, handshake_start, relay_policy_.hop_delay(ctrl));
@@ -756,7 +776,7 @@ Status Comm::pull_rendezvous(PendingRecv& pr, Status status) {
         // Corruption only qualifies on link-checksummed collective-
         // internal frames — user payloads defer integrity upward.
         ++st->link_nacks;
-        const std::size_t nack = arq_->config().ctrl_bytes;
+        const std::size_t nack = reliable::kCtrlBytes;
         pull_start = world_->fabric()
                          .reserve_route(wrank(), ws, nack, data.arrival,
                                         relay_policy_.hop_delay(nack))

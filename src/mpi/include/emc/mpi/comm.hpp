@@ -59,10 +59,19 @@ class Comm final : public Communicator {
   /// Virtual time as seen by this rank.
   [[nodiscard]] double now() const { return proc_->now(); }
 
-  /// The simulated process behind this rank; used by benches to charge
-  /// compute time (`process().advance(...)` / `process().charge(...)`).
+  /// The simulated process behind this rank; used by benches to bill
+  /// modelled compute time (`process().advance(...)`).
   [[nodiscard]] sim::Process& process() { return *proc_; }
   [[nodiscard]] World& world() { return *world_; }
+
+  /// The one place measured host work enters virtual time: runs
+  /// @p work on the host, advances this rank by its wall-clock
+  /// duration times WorldConfig::cpu_scale, and records the billed
+  /// interval as a @p category span when tracing is on (zero-length
+  /// spans included). Returns the measured host seconds. Only one rank
+  /// runs at a time, so the measurement is uncontended.
+  double charge(const std::function<void()>& work,
+                trace::Category category = trace::Category::kCompute);
 
   void send(BytesView data, int dst, int tag) override;
   Status recv(MutBytes buf, int src, int tag) override;
@@ -141,9 +150,6 @@ class Comm final : public Communicator {
   /// forward sealed bytes for free). Default: transparent relays.
   void set_relay_policy(const net::RelayPolicy& policy) {
     relay_policy_ = policy;
-  }
-  [[nodiscard]] const net::RelayPolicy& relay_policy() const noexcept {
-    return relay_policy_;
   }
 
   void barrier() override;

@@ -105,9 +105,6 @@ struct Mailbox {
 struct WorldConfig {
   net::ClusterConfig cluster;
 
-  /// Control-message size used by the rendezvous RTS/CTS handshake.
-  std::size_t ctrl_bytes = 64;
-
   /// Delivery timeout for blocking/waited receives, in virtual
   /// seconds; a receive with no matching message after this long
   /// throws MpiError instead of blocking forever. 0.0 means wait
@@ -116,9 +113,9 @@ struct WorldConfig {
   /// reliability layer is off.
   double recv_timeout = 0.0;
 
-  /// Simulated-CPU speed relative to the build host: every charged
-  /// host measurement (crypto, kernel compute) is multiplied by this
-  /// before entering virtual time. 1.0 = "the cluster CPUs are as
+  /// Simulated-CPU speed relative to the build host: every host
+  /// measurement Comm::charge bills (measured crypto, kernel compute)
+  /// is multiplied by this before entering virtual time. 1.0 = "the cluster CPUs are as
   /// fast as this host"; benchmarks can calibrate it so the simulated
   /// nodes match the paper's Xeon E5-2620 v4.
   double cpu_scale = 1.0;
@@ -142,9 +139,8 @@ struct WorldConfig {
   ft::Config ft;
 
   /// Opt-in virtual-time tracing (see docs/TRACING.md). When set, the
-  /// recorder must be constructed with this world's rank count; the
-  /// World installs the engine charge observer and every layer records
-  /// attribution spans into it. Null (the default) keeps every
+  /// recorder must be constructed with this world's rank count, and
+  /// every layer records attribution spans into it. Null (the default) keeps every
   /// instrumentation site on the single-branch fast path — no recorder
   /// is allocated and traced state is never touched. Shared so copies
   /// of a config (e.g. benchmark sweeps) observe one recorder.

@@ -18,7 +18,6 @@ World::World(const WorldConfig& config)
   }
   config_.reliability.validate();
   config_.cluster.faults.validate_crashes(size());
-  engine_.set_charge_scale(config.cpu_scale);
   if (config_.ft.enabled || !config_.cluster.faults.crashes.empty()) {
     if (!(config_.ft.detect_timeout > 0.0)) {
       throw std::invalid_argument(
@@ -48,14 +47,6 @@ World::World(const WorldConfig& config)
           std::to_string(config_.trace->num_ranks()) +
           " ranks attached to a world of " + std::to_string(size()));
     }
-    // Attribute every Process::charge interval. SecureComm retags the
-    // next charge (crypto encrypt/decrypt) via set_charge_category;
-    // everything else — NAS kernels, application compute — defaults
-    // to kCompute.
-    trace::TraceRecorder* rec = config_.trace.get();
-    engine_.set_charge_observer([rec](int rank, double begin, double end) {
-      rec->record(rank, rec->take_charge_category(rank), begin, end);
-    });
   }
 }
 

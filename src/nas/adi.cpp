@@ -80,7 +80,7 @@ void solve_x(AdiState& s, std::vector<double>& cp, std::vector<double>& dp) {
 }  // namespace
 
 static KernelResult run_adi(const char* name, int ncomp,
-                            mpi::Communicator& comm, sim::Process& proc,
+                            mpi::Communicator& comm, mpi::Comm& plain,
                             ProblemClass cls) {
   const AdiParams params = params_for(cls);
   const std::size_t n = params.n;
@@ -95,10 +95,10 @@ static KernelResult run_adi(const char* name, int ncomp,
   s.ncomp = ncomp;
   s.u.assign(static_cast<std::size_t>(ncomp) * s.rows * n, 0.0);
 
-  const double start_time = proc.now();
+  const double start_time = plain.now();
   double compute_seconds = 0.0;
 
-  charged_compute(proc, compute_seconds, [&] {
+  charged_compute(plain, compute_seconds, [&] {
     for (int comp = 0; comp < ncomp; ++comp) {
       for (std::size_t i = 0; i < s.rows; ++i) {
         const double y =
@@ -132,7 +132,7 @@ static KernelResult run_adi(const char* name, int ncomp,
 
   for (int step = 0; step < params.steps; ++step) {
     const bool last_step = step + 1 == params.steps;
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       solve_x(s, cp, dp);
       if (last_step) rhs_snapshot = s.u;
     });
@@ -141,7 +141,7 @@ static KernelResult run_adi(const char* name, int ncomp,
     if (has_up) {
       detail::recv_span(comm, std::span<double>(boundary), r - 1, kTagElim);
     }
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       for (int comp = 0; comp < ncomp; ++comp) {
         for (std::size_t j = 0; j < n; ++j) {
           const std::size_t lane = static_cast<std::size_t>(comp) * n + j;
@@ -168,7 +168,7 @@ static KernelResult run_adi(const char* name, int ncomp,
                         kTagElim);
       detail::recv_span(comm, std::span<double>(xedge), r + 1, kTagBack);
     }
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       for (int comp = 0; comp < ncomp; ++comp) {
         for (std::size_t j = 0; j < n; ++j) {
           const std::size_t lane = static_cast<std::size_t>(comp) * n + j;
@@ -246,7 +246,7 @@ static KernelResult run_adi(const char* name, int ncomp,
   }
 
   double max_residual = 0.0;
-  charged_compute(proc, compute_seconds, [&] {
+  charged_compute(plain, compute_seconds, [&] {
     for (int comp = 0; comp < ncomp; ++comp) {
       for (std::size_t i = 0; i < s.rows; ++i) {
         const double* xc = s.row(comp, i);
@@ -272,7 +272,7 @@ static KernelResult run_adi(const char* name, int ncomp,
   max_residual = mpi::allreduce_max(comm, max_residual);
 
   const double final_norm = norm_of();
-  const double elapsed = proc.now() - start_time;
+  const double elapsed = plain.now() - start_time;
   KernelResult result;
   result.name = name;
   result.residual = max_residual;
@@ -285,14 +285,14 @@ static KernelResult run_adi(const char* name, int ncomp,
   return result;
 }
 
-KernelResult run_bt(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_bt(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls) {
-  return run_adi("BT", 3, comm, proc, cls);
+  return run_adi("BT", 3, comm, plain, cls);
 }
 
-KernelResult run_sp(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_sp(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls) {
-  return run_adi("SP", 1, comm, proc, cls);
+  return run_adi("SP", 1, comm, plain, cls);
 }
 
 }  // namespace emc::nas

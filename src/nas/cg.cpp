@@ -112,7 +112,7 @@ double local_dot(Slab& a, Slab& b) {
 
 }  // namespace
 
-KernelResult run_cg(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_cg(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls) {
   const CgParams params = params_for(cls);
   const auto range = block_range(params.n, comm.size(), comm.rank());
@@ -124,11 +124,11 @@ KernelResult run_cg(mpi::Communicator& comm, sim::Process& proc,
   Slab p(rows, n);
   Slab q(rows, n);
 
-  const double start_time = proc.now();
+  const double start_time = plain.now();
   double compute_seconds = 0.0;
 
   // b = 1 everywhere; x0 = 0 so r0 = b, p0 = r0.
-  charged_compute(proc, compute_seconds, [&] {
+  charged_compute(plain, compute_seconds, [&] {
     for (std::size_t i = 0; i < rows; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         r.row(i)[j] = 1.0;
@@ -138,14 +138,14 @@ KernelResult run_cg(mpi::Communicator& comm, sim::Process& proc,
   });
 
   double rho = 0.0;
-  charged_compute(proc, compute_seconds, [&] { rho = local_dot(r, r); });
+  charged_compute(plain, compute_seconds, [&] { rho = local_dot(r, r); });
   rho = mpi::allreduce_sum(comm, rho);
   const double initial_residual = std::sqrt(rho);
 
   for (int it = 0; it < params.iterations; ++it) {
     exchange_halo(comm, p);
     double pq = 0.0;
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       matvec(p, q);
       pq = local_dot(p, q);
     });
@@ -153,7 +153,7 @@ KernelResult run_cg(mpi::Communicator& comm, sim::Process& proc,
     const double alpha = rho / pq;
 
     double rho_new = 0.0;
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       for (std::size_t i = 0; i < rows; ++i) {
         double* xi = x.row(i);
         double* ri = r.row(i);
@@ -170,7 +170,7 @@ KernelResult run_cg(mpi::Communicator& comm, sim::Process& proc,
     const double beta = rho_new / rho;
     rho = rho_new;
 
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       for (std::size_t i = 0; i < rows; ++i) {
         double* pi = p.row(i);
         const double* ri = r.row(i);
@@ -186,7 +186,7 @@ KernelResult run_cg(mpi::Communicator& comm, sim::Process& proc,
   // rode on, independent of convergence speed.
   exchange_halo(comm, x);
   double drift_sq = 0.0;
-  charged_compute(proc, compute_seconds, [&] {
+  charged_compute(plain, compute_seconds, [&] {
     matvec(x, q);  // q = A x
     for (std::size_t i = 0; i < rows; ++i) {
       const double* qi = q.row(i);
@@ -200,7 +200,7 @@ KernelResult run_cg(mpi::Communicator& comm, sim::Process& proc,
   const double drift =
       std::sqrt(mpi::allreduce_sum(comm, drift_sq)) / initial_residual;
 
-  const double elapsed = proc.now() - start_time;
+  const double elapsed = plain.now() - start_time;
 
   KernelResult result;
   result.name = "CG";

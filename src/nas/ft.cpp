@@ -39,7 +39,7 @@ int evolve_steps(ProblemClass cls) {
 
 }  // namespace
 
-KernelResult run_ft(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_ft(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls) {
   const int p = comm.size();
   std::size_t n = grid_for(cls);
@@ -62,11 +62,11 @@ KernelResult run_ft(mpi::Communicator& comm, sim::Process& proc,
   std::vector<Complex> recvbuf(u.size());
   std::vector<Complex> scratch(n);
 
-  const double start_time = proc.now();
+  const double start_time = plain.now();
   double compute_seconds = 0.0;
 
   // Deterministic pseudo-random initial field.
-  charged_compute(proc, compute_seconds, [&] {
+  charged_compute(plain, compute_seconds, [&] {
     Xoshiro256 rng(0xF7 + static_cast<std::uint64_t>(rank));
     for (Complex& c : u) {
       c = Complex(rng.next_double() - 0.5, rng.next_double() - 0.5);
@@ -74,7 +74,7 @@ KernelResult run_ft(mpi::Communicator& comm, sim::Process& proc,
   });
 
   double initial_energy = 0.0;
-  charged_compute(proc, compute_seconds, [&] {
+  charged_compute(plain, compute_seconds, [&] {
     for (const Complex& c : u) initial_energy += std::norm(c);
   });
   initial_energy = mpi::allreduce_sum(comm, initial_energy);
@@ -82,7 +82,7 @@ KernelResult run_ft(mpi::Communicator& comm, sim::Process& proc,
   const std::size_t block = zloc * n * xloc;  // complexes per peer
 
   const auto transpose_forward = [&] {
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       // Pack: block q holds my z-planes restricted to q's x-range.
       for (int q = 0; q < p; ++q) {
         Complex* out = sendbuf.data() + static_cast<std::size_t>(q) * block;
@@ -98,7 +98,7 @@ KernelResult run_ft(mpi::Communicator& comm, sim::Process& proc,
     comm.alltoall(detail::as_bytes(std::span<const Complex>(sendbuf)),
                   detail::as_writable_bytes(std::span<Complex>(recvbuf)),
                   block * sizeof(Complex));
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       // Unpack: source s's block carries z-range [s*zloc, ...) of my
       // x-slab; lay out as v[xl][y][z].
       for (int s = 0; s < p; ++s) {
@@ -116,7 +116,7 @@ KernelResult run_ft(mpi::Communicator& comm, sim::Process& proc,
   };
 
   const auto transpose_backward = [&] {
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       for (int s = 0; s < p; ++s) {
         Complex* out = sendbuf.data() + static_cast<std::size_t>(s) * block;
         const std::size_t z0 = static_cast<std::size_t>(s) * zloc;
@@ -132,7 +132,7 @@ KernelResult run_ft(mpi::Communicator& comm, sim::Process& proc,
     comm.alltoall(detail::as_bytes(std::span<const Complex>(sendbuf)),
                   detail::as_writable_bytes(std::span<Complex>(recvbuf)),
                   block * sizeof(Complex));
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       for (int q = 0; q < p; ++q) {
         const Complex* in = recvbuf.data() + static_cast<std::size_t>(q) * block;
         const std::size_t x0 = static_cast<std::size_t>(q) * xloc;
@@ -147,7 +147,7 @@ KernelResult run_ft(mpi::Communicator& comm, sim::Process& proc,
   };
 
   const auto fft_xy = [&](bool inverse) {
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       for (std::size_t z = 0; z < zloc; ++z) {
         Complex* plane = &u[z * n * n];
         for (std::size_t y = 0; y < n; ++y) {
@@ -161,7 +161,7 @@ KernelResult run_ft(mpi::Communicator& comm, sim::Process& proc,
   };
 
   const auto fft_z = [&](bool inverse) {
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       for (std::size_t xl = 0; xl < xloc; ++xl) {
         for (std::size_t y = 0; y < n; ++y) {
           fft(std::span<Complex>(&v[(xl * n + y) * n], n), inverse);
@@ -171,7 +171,7 @@ KernelResult run_ft(mpi::Communicator& comm, sim::Process& proc,
   };
 
   const auto evolve = [&](int step) {
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       const double theta =
           1e-4 * static_cast<double>(step + 1) * 2.0 * std::numbers::pi;
       const std::size_t x0 = static_cast<std::size_t>(rank) * xloc;
@@ -201,12 +201,12 @@ KernelResult run_ft(mpi::Communicator& comm, sim::Process& proc,
   }
 
   double final_energy = 0.0;
-  charged_compute(proc, compute_seconds, [&] {
+  charged_compute(plain, compute_seconds, [&] {
     for (const Complex& c : u) final_energy += std::norm(c);
   });
   final_energy = mpi::allreduce_sum(comm, final_energy);
 
-  const double elapsed = proc.now() - start_time;
+  const double elapsed = plain.now() - start_time;
   KernelResult result;
   result.name = "FT";
   // Parseval: the unit-modulus evolve conserves energy through the

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "emc/common/bytes.hpp"
+#include "emc/mpi/comm.hpp"
 #include "emc/mpi/communicator.hpp"
-#include "emc/sim/engine.hpp"
 
 namespace emc::nas::detail {
 
@@ -60,8 +60,9 @@ void recv_span(mpi::Communicator& comm, std::span<T> data, int src, int tag) {
 /// @p compute_seconds so comm-fraction statistics stay consistent
 /// under CPU-speed calibration.
 template <typename Fn>
-void charged_compute(sim::Process& proc, double& compute_seconds, Fn&& work) {
-  compute_seconds += proc.charge(std::forward<Fn>(work)) * proc.charge_scale();
+void charged_compute(mpi::Comm& plain, double& compute_seconds, Fn&& work) {
+  compute_seconds += plain.charge(std::forward<Fn>(work)) *
+                     plain.world().config().cpu_scale;
 }
 
 }  // namespace emc::nas::detail

@@ -28,8 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "emc/mpi/comm.hpp"
 #include "emc/mpi/communicator.hpp"
-#include "emc/sim/engine.hpp"
 
 namespace emc::nas {
 
@@ -53,25 +53,26 @@ struct KernelResult {
 [[nodiscard]] ProblemClass class_by_name(const std::string& name);
 
 /// Runs one kernel on the calling rank. Collective: every rank of
-/// @p comm must call with identical arguments. @p proc is the rank's
-/// simulated process (used to charge compute time).
+/// @p comm must call with identical arguments. @p plain is the rank's
+/// plain communicator (the same object as @p comm on a plain run);
+/// compute time is billed through plain.charge.
 KernelResult run_kernel(Kernel k, mpi::Communicator& comm,
-                        sim::Process& proc, ProblemClass cls);
+                        mpi::Comm& plain, ProblemClass cls);
 
 // Individual kernels (same contract as run_kernel).
-KernelResult run_cg(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_cg(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls);
-KernelResult run_ft(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_ft(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls);
-KernelResult run_mg(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_mg(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls);
-KernelResult run_lu(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_lu(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls);
-KernelResult run_bt(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_bt(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls);
-KernelResult run_sp(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_sp(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls);
-KernelResult run_is(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_is(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls);
 
 }  // namespace emc::nas

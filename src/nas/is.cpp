@@ -36,14 +36,14 @@ constexpr int kTagEdge = 500;
 
 }  // namespace
 
-KernelResult run_is(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_is(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls) {
   const IsParams params = params_for(cls);
   const int p = comm.size();
   const auto up = static_cast<std::size_t>(p);
   const int r = comm.rank();
 
-  const double start_time = proc.now();
+  const double start_time = plain.now();
   double compute_seconds = 0.0;
 
   bool all_sorted = true;
@@ -52,7 +52,7 @@ KernelResult run_is(mpi::Communicator& comm, sim::Process& proc,
 
   for (int rep = 0; rep < params.repetitions; ++rep) {
     std::vector<std::uint32_t> keys(params.keys_per_rank);
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       Xoshiro256 rng(0x15 + static_cast<std::uint64_t>(r) * 1009 +
                      static_cast<std::uint64_t>(rep));
       for (auto& k : keys) {
@@ -67,7 +67,7 @@ KernelResult run_is(mpi::Communicator& comm, sim::Process& proc,
     std::vector<std::size_t> sendcounts(up, 0);
     std::vector<std::size_t> senddispls(up, 0);
     std::vector<std::uint32_t> staged(keys.size());
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       for (std::uint32_t k : keys) ++sendcounts[k / width];
       std::size_t offset = 0;
       for (std::size_t b = 0; b < up; ++b) {
@@ -88,7 +88,7 @@ KernelResult run_is(mpi::Communicator& comm, sim::Process& proc,
     std::vector<std::size_t> recvcounts(up);
     std::vector<std::size_t> recvdispls(up);
     std::size_t recv_total = 0;
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       for (std::size_t s = 0; s < up; ++s) {
         recvcounts[s] = all_counts[s * up + static_cast<std::size_t>(r)];
         recvdispls[s] = recv_total;
@@ -113,11 +113,11 @@ KernelResult run_is(mpi::Communicator& comm, sim::Process& proc,
                    detail::as_writable_bytes(std::span<std::uint32_t>(incoming)),
                    rc, rd);
 
-    charged_compute(proc, compute_seconds,
+    charged_compute(plain, compute_seconds,
                     [&] { std::sort(incoming.begin(), incoming.end()); });
 
     // Verification 1: local sortedness and bucket-range containment.
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       for (std::size_t i = 1; i < incoming.size(); ++i) {
         if (incoming[i - 1] > incoming[i]) all_sorted = false;
       }
@@ -155,7 +155,7 @@ KernelResult run_is(mpi::Communicator& comm, sim::Process& proc,
     last_total = total;
   }
 
-  const double elapsed = proc.now() - start_time;
+  const double elapsed = plain.now() - start_time;
   KernelResult result;
   result.name = "IS";
   result.residual = static_cast<double>(last_total);

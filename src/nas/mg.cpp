@@ -80,12 +80,12 @@ void exchange_halo(mpi::Communicator& comm, Level& lvl, int tag_salt) {
 }
 
 /// Weighted-Jacobi smoothing sweeps (halo exchange before each sweep).
-void smooth(mpi::Communicator& comm, sim::Process& proc,
+void smooth(mpi::Communicator& comm, mpi::Comm& plain,
             double& compute_seconds, Level& lvl, int sweeps, int tag_salt) {
   constexpr double kOmega = 0.8;
   for (int s = 0; s < sweeps; ++s) {
     exchange_halo(comm, lvl, tag_salt);
-    charged_compute(proc, compute_seconds, [&] {
+    charged_compute(plain, compute_seconds, [&] {
       const std::size_t n = lvl.n;
       for (std::size_t i = 0; i < lvl.rows; ++i) {
         const double* um = lvl.row(i) - n;
@@ -110,11 +110,11 @@ void smooth(mpi::Communicator& comm, sim::Process& proc,
 }
 
 /// residual = f - A u into @p out (rows*n), after a halo exchange.
-void residual(mpi::Communicator& comm, sim::Process& proc,
+void residual(mpi::Communicator& comm, mpi::Comm& plain,
               double& compute_seconds, Level& lvl, std::vector<double>& out,
               int tag_salt) {
   exchange_halo(comm, lvl, tag_salt);
-  charged_compute(proc, compute_seconds, [&] {
+  charged_compute(plain, compute_seconds, [&] {
     const std::size_t n = lvl.n;
     out.assign(lvl.rows * n, 0.0);
     for (std::size_t i = 0; i < lvl.rows; ++i) {
@@ -134,7 +134,7 @@ void residual(mpi::Communicator& comm, sim::Process& proc,
 
 }  // namespace
 
-KernelResult run_mg(mpi::Communicator& comm, sim::Process& proc,
+KernelResult run_mg(mpi::Communicator& comm, mpi::Comm& plain,
                     ProblemClass cls) {
   const MgParams params = params_for(cls);
   const auto p = static_cast<std::size_t>(comm.size());
@@ -153,11 +153,11 @@ KernelResult run_mg(mpi::Communicator& comm, sim::Process& proc,
     level_shift *= 4.0;  // (2h)^2 / h^2
   }
 
-  const double start_time = proc.now();
+  const double start_time = plain.now();
   double compute_seconds = 0.0;
 
   // RHS: a smooth bump, deterministic and rank-consistent.
-  charged_compute(proc, compute_seconds, [&] {
+  charged_compute(plain, compute_seconds, [&] {
     Level& fine = levels[0];
     const auto range =
         detail::block_range(params.n, comm.size(), comm.rank());
@@ -178,7 +178,7 @@ KernelResult run_mg(mpi::Communicator& comm, sim::Process& proc,
     return std::sqrt(mpi::allreduce_sum(comm, sum));
   };
 
-  residual(comm, proc, compute_seconds, levels[0], res, 0);
+  residual(comm, plain, compute_seconds, levels[0], res, 0);
   const double initial_norm = norm_of(res);
 
   for (int cycle = 0; cycle < params.cycles; ++cycle) {
@@ -186,9 +186,9 @@ KernelResult run_mg(mpi::Communicator& comm, sim::Process& proc,
     for (int l = 0; l + 1 < params.levels; ++l) {
       Level& fine = levels[static_cast<std::size_t>(l)];
       Level& coarse = levels[static_cast<std::size_t>(l + 1)];
-      smooth(comm, proc, compute_seconds, fine, 2, l * 8);
-      residual(comm, proc, compute_seconds, fine, res, l * 8);
-      charged_compute(proc, compute_seconds, [&] {
+      smooth(comm, plain, compute_seconds, fine, 2, l * 8);
+      residual(comm, plain, compute_seconds, fine, res, l * 8);
+      charged_compute(plain, compute_seconds, [&] {
         // Injection restriction (even rows/cols); partition alignment
         // is guaranteed by the rows-per-rank divisibility check.
         for (std::size_t i = 0; i < coarse.rows; ++i) {
@@ -200,14 +200,14 @@ KernelResult run_mg(mpi::Communicator& comm, sim::Process& proc,
       });
     }
     // Coarsest: heavy smoothing stands in for a direct solve.
-    smooth(comm, proc, compute_seconds,
+    smooth(comm, plain, compute_seconds,
            levels[static_cast<std::size_t>(params.levels - 1)], 12,
            (params.levels - 1) * 8);
     // Ascend: prolongate the correction and post-smooth.
     for (int l = params.levels - 2; l >= 0; --l) {
       Level& fine = levels[static_cast<std::size_t>(l)];
       Level& coarse = levels[static_cast<std::size_t>(l + 1)];
-      charged_compute(proc, compute_seconds, [&] {
+      charged_compute(plain, compute_seconds, [&] {
         for (std::size_t i = 0; i < coarse.rows; ++i) {
           for (std::size_t j = 0; j < coarse.n; ++j) {
             const double c = coarse.row(i)[j];
@@ -220,14 +220,14 @@ KernelResult run_mg(mpi::Communicator& comm, sim::Process& proc,
           }
         }
       });
-      smooth(comm, proc, compute_seconds, fine, 2, l * 8);
+      smooth(comm, plain, compute_seconds, fine, 2, l * 8);
     }
   }
 
-  residual(comm, proc, compute_seconds, levels[0], res, 0);
+  residual(comm, plain, compute_seconds, levels[0], res, 0);
   const double final_norm = norm_of(res);
 
-  const double elapsed = proc.now() - start_time;
+  const double elapsed = plain.now() - start_time;
   KernelResult result;
   result.name = "MG";
   result.residual = final_norm / (initial_norm > 0 ? initial_norm : 1.0);

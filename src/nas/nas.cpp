@@ -47,15 +47,15 @@ ProblemClass class_by_name(const std::string& name) {
 }
 
 KernelResult run_kernel(Kernel k, mpi::Communicator& comm,
-                        sim::Process& proc, ProblemClass cls) {
+                        mpi::Comm& plain, ProblemClass cls) {
   switch (k) {
-    case Kernel::kCG: return run_cg(comm, proc, cls);
-    case Kernel::kFT: return run_ft(comm, proc, cls);
-    case Kernel::kMG: return run_mg(comm, proc, cls);
-    case Kernel::kLU: return run_lu(comm, proc, cls);
-    case Kernel::kBT: return run_bt(comm, proc, cls);
-    case Kernel::kSP: return run_sp(comm, proc, cls);
-    case Kernel::kIS: return run_is(comm, proc, cls);
+    case Kernel::kCG: return run_cg(comm, plain, cls);
+    case Kernel::kFT: return run_ft(comm, plain, cls);
+    case Kernel::kMG: return run_mg(comm, plain, cls);
+    case Kernel::kLU: return run_lu(comm, plain, cls);
+    case Kernel::kBT: return run_bt(comm, plain, cls);
+    case Kernel::kSP: return run_sp(comm, plain, cls);
+    case Kernel::kIS: return run_is(comm, plain, cls);
   }
   throw std::invalid_argument("unknown kernel");
 }

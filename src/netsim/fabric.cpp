@@ -262,11 +262,9 @@ PathTimes Fabric::reserve_link(LinkState& ls, int flow, std::size_t bytes,
   ++ls.msg_count;
 
   // FIFO reorder guard: a jitter draw must not let message k arrive
-  // before message k-1 unless the link explicitly models reordering.
-  if (!lp.allow_reorder && pt.arrival < ls.last_arrival) {
-    pt.arrival = ls.last_arrival;
-  }
-  ls.last_arrival = std::max(ls.last_arrival, pt.arrival);
+  // before message k-1.
+  pt.arrival = std::max(pt.arrival, ls.last_arrival);
+  ls.last_arrival = pt.arrival;
 
   return pt;
 }

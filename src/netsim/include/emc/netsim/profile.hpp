@@ -39,9 +39,6 @@ struct NetworkProfile {
   int contention_threshold = 0;
   double contention_msg_factor = 1.0;
   double contention_bw_factor = 1.0;
-
-  /// Effective per-byte wire time (s/byte).
-  [[nodiscard]] double byte_time() const noexcept { return 1.0 / bandwidth; }
 };
 
 /// 10 Gbps Ethernet with a TCP/sockets MPI stack (paper's MPICH side).

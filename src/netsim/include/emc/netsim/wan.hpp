@@ -62,17 +62,13 @@ struct LinkProfile {
   NetworkProfile net = ethernet_10g();
 
   /// Upper bound of the seeded extra one-way latency added per message
-  /// (uniform in [0, jitter)); 0 disables jitter.
+  /// (uniform in [0, jitter)); 0 disables jitter. Jittered arrivals
+  /// are clamped to stay monotone per link: a FIFO link never
+  /// reorders its envelopes.
   double jitter = 0.0;
 
   /// Seed of the jitter stream (independent of faults/cross seeds).
   std::uint64_t seed = 1;
-
-  /// When false (default), jittered arrivals are clamped to stay
-  /// monotone per link: a FIFO link must not silently reorder its
-  /// envelopes. Set true to let large jitter draws model genuine
-  /// packet reordering (later send, earlier arrival).
-  bool allow_reorder = false;
 
   /// Per-link fault plan. When enabled it *replaces* the cluster-wide
   /// plan for traffic on this link; a disabled plan inherits the

@@ -54,10 +54,6 @@ void Config::validate() const {
     throw std::invalid_argument(
         "reliable::Config: jitter must be in [0, 1)");
   }
-  if (ctrl_bytes == 0) {
-    throw std::invalid_argument(
-        "reliable::Config: ctrl_bytes must be positive");
-  }
   if (cwnd_initial < 1) {
     throw std::invalid_argument(
         "reliable::Config: cwnd_initial must be at least 1");
@@ -297,7 +293,7 @@ Channel::Crossing Channel::cross(const Leg& leg, Delivery& out,
         // soon as the NACK lands.
         ++stats_.link_nacks;
         if (adaptive) cc_on_loss(*leg.cc);
-        t = reserve(true, config_.ctrl_bytes, path.arrival).arrival;
+        t = reserve(true, kCtrlBytes, path.arrival).arrival;
         continue;
     }
     c.delivered = true;
@@ -338,7 +334,7 @@ void Channel::ack_race(const Leg& leg, const Crossing& c, std::size_t bytes,
   // reserve the NIC — they gate forward progress.
   const double ack_time =
       c.accepted + leg.rev->latency +
-      static_cast<double>(config_.ctrl_bytes) / leg.rev->bandwidth;
+      static_cast<double>(kCtrlBytes) / leg.rev->bandwidth;
 
   // Spurious-retransmit race: the sender's timer keeps firing until
   // the ACK lands; every extra copy burns real NIC time and is
@@ -419,7 +415,7 @@ Delivery Channel::deliver(int src, int dst, std::size_t bytes,
                !c.spurious) {
       // Open-loop hops still learn their RTT for the adaptive timer.
       rtt_sample(*leg.cc, (c.accepted - t) + leg.rev->latency +
-                              static_cast<double>(config_.ctrl_bytes) /
+                              static_cast<double>(kCtrlBytes) /
                                   leg.rev->bandwidth);
     }
     // The damage rides the rest of the route: later hops forward the
@@ -468,8 +464,8 @@ double Channel::e2e_recover(int src, int dst, std::size_t bytes, double now,
   for (;;) {
     ++stats_.e2e_nacks;
     double t_send = fabric_
-                        ->reserve_route(dst, src, config_.ctrl_bytes, t,
-                                        relay.hop_delay(config_.ctrl_bytes))
+                        ->reserve_route(dst, src, kCtrlBytes, t,
+                                        relay.hop_delay(kCtrlBytes))
                         .arrival;
     for (int attempt = 0;; ++attempt) {
       if (attempts >= static_cast<std::uint32_t>(config_.max_retries) + 1) {
@@ -492,9 +488,9 @@ double Channel::e2e_recover(int src, int dst, std::size_t bytes, double now,
         case net::FaultKind::kTruncate:
           ++stats_.link_nacks;
           t_send = fabric_
-                       ->reserve_route(dst, src, config_.ctrl_bytes,
+                       ->reserve_route(dst, src, kCtrlBytes,
                                        path.arrival,
-                                       relay.hop_delay(config_.ctrl_bytes))
+                                       relay.hop_delay(kCtrlBytes))
                        .arrival;
           continue;
         case net::FaultKind::kCorrupt:

@@ -50,6 +50,9 @@
 
 namespace emc::reliable {
 
+/// Wire size of ACK/NACK control frames.
+inline constexpr std::size_t kCtrlBytes = 32;
+
 /// Transport discipline of the ARQ sender.
 enum class Transport : std::uint8_t {
   /// Original behavior: fixed analytic backoff ladder run open loop
@@ -85,9 +88,6 @@ struct Config {
   double rto_max = 20e-3;
   double backoff = 2.0;
   double jitter = 0.2;
-
-  /// Wire size of ACK/NACK control frames.
-  std::size_t ctrl_bytes = 32;
 
   /// Seed for the jitter stream (independent of the FaultPlan seed).
   std::uint64_t seed = 1;

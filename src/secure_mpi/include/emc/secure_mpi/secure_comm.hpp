@@ -76,12 +76,16 @@ enum class NonceMode {
 /// timelines fully deterministic — the mode traced benchmark runs use
 /// so same-seed traces are byte-identical. Model values are virtual
 /// seconds of the simulated CPU; WorldConfig::cpu_scale is NOT
-/// applied on top.
+/// applied on top. The zero model, CryptoCostModel{}, makes crypto
+/// free: it bills nothing and records no trace span, the mode
+/// functional tests use for timing-independent determinism.
 struct CryptoCostModel {
   double seal_per_op = 0.0;    ///< fixed cost per encryption
   double seal_per_byte = 0.0;  ///< per plaintext byte encrypted
   double open_per_op = 0.0;    ///< fixed cost per decryption attempt
   double open_per_byte = 0.0;  ///< per plaintext byte decrypted
+
+  bool operator==(const CryptoCostModel&) const = default;
 };
 
 /// Trust model for intermediate hops of multi-hop routed paths
@@ -135,13 +139,9 @@ struct SecureConfig {
   /// the default). rekey() resets the count. 0 disables the guard.
   std::uint64_t nonce_rekey_threshold = std::uint64_t{1} << 32;
 
-  /// When true (default), the wall-clock cost of every seal/open is
-  /// charged to the rank's virtual clock. Disable only in functional
-  /// tests that want timing-independent determinism.
-  bool charge_crypto = true;
-
-  /// Optional analytic crypto timing (see CryptoCostModel). Only
-  /// meaningful while charge_crypto is true; ignored otherwise.
+  /// Analytic crypto timing (see CryptoCostModel). Unset (default):
+  /// the measured host time of every seal/open is billed to the rank's
+  /// virtual clock through mpi::Comm::charge.
   std::optional<CryptoCostModel> cost_model;
 
   /// What multi-hop relays do with sealed traffic (hop-trusted
@@ -153,9 +153,9 @@ struct SecureConfig {
 
   /// CryptMPI-style chunked encrypt->send pipelining for large
   /// point-to-point messages (docs/PIPELINE.md). Requires a
-  /// cost_model while charge_crypto is on: helper cores are not
-  /// simulated processes, so their per-chunk crypto can only be
-  /// billed analytically (validated at construction).
+  /// cost_model: helper cores are not simulated processes, so their
+  /// per-chunk crypto can only be billed analytically (validated at
+  /// construction).
   PipelineConfig pipeline;
 
   /// Per-link key lifecycle (docs/RESILIENCE.md): when set,
@@ -444,12 +444,13 @@ class SecureComm final : public mpi::Communicator {
   [[nodiscard]] std::uint64_t next_send_seq(int dst, int tag);
 
   /// Runs @p work (a seal when @p encrypt, else an open of @p bytes
-  /// plaintext bytes) and bills its cost to the virtual clock when
-  /// charge_crypto is on — measured wall time by default, the analytic
-  /// cost_model when one is configured. Tags the billed interval for
-  /// the tracing layer (crypto_encrypt / crypto_decrypt). Returns the
-  /// measured host seconds. A template, so the per-seal lambda is not
-  /// boxed into a heap-allocated std::function.
+  /// plaintext bytes) and bills its cost to the virtual clock —
+  /// measured wall time through mpi::Comm::charge by default, the
+  /// analytic cost_model when one is configured (nothing for the zero
+  /// model). Tags the billed interval for the tracing layer
+  /// (crypto_encrypt / crypto_decrypt). Returns the measured host
+  /// seconds. A template, so the analytic path does not box the
+  /// per-seal lambda into a std::function.
   template <typename Work>
   double charged_crypto(Work&& work, std::size_t bytes, bool encrypt);
 

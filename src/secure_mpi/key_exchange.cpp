@@ -22,7 +22,7 @@ Bytes establish_group_key(mpi::Comm& comm, const crypto::DhGroup& group,
 
   // 1. Keypair + allgather of public keys (charged compute).
   crypto::DhKeyPair pair;
-  comm.process().charge([&] {
+  comm.charge([&] {
     pair = crypto::dh_generate(
         group, config.seed * 1000003 + static_cast<std::uint64_t>(rank));
   });
@@ -41,7 +41,7 @@ Bytes establish_group_key(mpi::Comm& comm, const crypto::DhGroup& group,
 
     for (std::size_t peer = 1; peer < n; ++peer) {
       Bytes wire;
-      comm.process().charge([&] {
+      comm.charge([&] {
         const crypto::BigUint peer_public = crypto::BigUint::from_bytes(
             BytesView(all_publics).subspan(peer * width, width));
         Bytes secret =
@@ -62,7 +62,7 @@ Bytes establish_group_key(mpi::Comm& comm, const crypto::DhGroup& group,
   Bytes wire(keys::wrapped_key_bytes(config.key_bytes));
   comm.recv(wire, 0, kWrapTag);
   Bytes session_key;
-  comm.process().charge([&] {
+  comm.charge([&] {
     const crypto::BigUint root_public = crypto::BigUint::from_bytes(
         BytesView(all_publics).first(width));
     Bytes secret =

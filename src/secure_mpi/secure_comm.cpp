@@ -159,7 +159,7 @@ SecureComm::SecureComm(mpi::Comm& comm, const SecureConfig& config)
   net::RelayPolicy relay;  // kEndToEnd: sealed forwarding, free relays
   if (config_.relay_trust == RelayTrust::kHopTrusted) {
     relay.hop_integrity = true;  // each hop re-verifies before re-sealing
-    if (config_.charge_crypto && config_.cost_model) {
+    if (config_.cost_model) {
       // One open + one seal of analytic crypto time per payload per
       // relay. Without a cost model relay crypto is unbilled (relays
       // are not simulated processes, so wall-clock charging has no
@@ -186,12 +186,11 @@ SecureComm::SecureComm(mpi::Comm& comm, const SecureConfig& config)
       throw std::invalid_argument(
           "SecureConfig: pipeline.helper_cores must be >= 0");
     }
-    if (config_.charge_crypto && !config_.cost_model) {
+    if (!config_.cost_model) {
       throw std::invalid_argument(
-          "SecureConfig: the pipeline requires a cost_model while "
-          "charge_crypto is on — helper cores are not simulated "
-          "processes, so their per-chunk crypto can only be billed "
-          "analytically (docs/PIPELINE.md)");
+          "SecureConfig: the pipeline requires a cost_model — helper "
+          "cores are not simulated processes, so their per-chunk crypto "
+          "can only be billed analytically (docs/PIPELINE.md)");
     }
     helper_free_.assign(static_cast<std::size_t>(config_.pipeline.helper_cores),
                         0.0);
@@ -203,27 +202,19 @@ double SecureComm::charged_crypto(Work&& work, std::size_t bytes,
                                   bool encrypt) {
   const auto category = encrypt ? trace::Category::kCryptoEncrypt
                                 : trace::Category::kCryptoDecrypt;
-  if (!config_.charge_crypto || config_.cost_model) {
-    // Measurement mode, or analytic billing: the crypto really executes
-    // (semantics and counters unchanged); with a cost model virtual
-    // time advances by the model, so encrypted timelines are
-    // deterministic.
-    // EMC_LINT_ALLOW(det-clock): measurement-mode only — the host
-    // seconds feed BENCH JSON metrics, never the virtual timeline.
-    WallTimer timer;
-    work();
-    const double elapsed = timer.seconds();
-    if (config_.charge_crypto) {
-      bill_on_rank(category, model_cost(bytes, encrypt), -1, bytes);
-    }
-    return elapsed;
+  if (!config_.cost_model) return comm_->charge(std::ref(work), category);
+  // Analytic billing: the crypto really executes (semantics and
+  // counters unchanged) but virtual time advances by the model, so
+  // encrypted timelines are deterministic.
+  // EMC_LINT_ALLOW(det-clock): the host seconds feed BENCH JSON
+  // metrics, never the virtual timeline.
+  WallTimer timer;
+  work();
+  const double elapsed = timer.seconds();
+  if (*config_.cost_model != CryptoCostModel{}) {
+    bill_on_rank(category, model_cost(bytes, encrypt), -1, bytes);
   }
-  // Wall-clock billing: the engine charge observer records the span;
-  // retag it from the default kCompute before charging.
-  if (trace::TraceRecorder* rec = comm_->world().trace()) {
-    rec->set_charge_category(comm_->process().index(), category);
-  }
-  return comm_->process().charge(std::ref(work));
+  return elapsed;
 }
 
 double SecureComm::model_cost(std::size_t bytes, bool encrypt) const {
@@ -457,8 +448,8 @@ bool SecureComm::pipeline_engages(std::size_t bytes) const noexcept {
 
 double SecureComm::helper_crypto(std::size_t bytes, bool encrypt) {
   sim::Process& proc = comm_->process();
-  if (!config_.charge_crypto || !config_.cost_model) {
-    // Charge-free functional mode, or a wall-clock-billed peer
+  if (!config_.cost_model || *config_.cost_model == CryptoCostModel{}) {
+    // Free crypto (the zero model), or a wall-clock-billed peer
     // receiving chunked traffic: the crypto really executed but no
     // virtual time is billed (measuring host time here would break
     // the determinism of src/secure_mpi — see docs/PIPELINE.md).

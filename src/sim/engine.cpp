@@ -14,8 +14,6 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
-#include "emc/common/timer.hpp"
-
 #if defined(__x86_64__) && !defined(__SANITIZE_ADDRESS__)
 // Register-only fiber switch for the x86-64 System V ABI. A switch saves
 // what a call must preserve (rbp, rbx, r12-r15, MXCSR, the x87 control
@@ -251,10 +249,6 @@ void Process::advance(Time dt) {
 
 void Process::yield() { engine_->proc_advance(*this, 0.0); }
 
-double Process::charge_scale() const noexcept {
-  return engine_->charge_scale();
-}
-
 void Process::wait(Waitable& w) {
   (void)engine_->proc_wait_for(*this, w,
                                std::numeric_limits<Time>::infinity());
@@ -267,21 +261,6 @@ bool Process::wait_for(Waitable& w, Time timeout) {
 void Process::notify_one(Waitable& w) { engine_->proc_notify(w, false); }
 
 void Process::notify_all(Waitable& w) { engine_->proc_notify(w, true); }
-
-double Process::charge(const std::function<void()>& work, double scale) {
-  // EMC_LINT_ALLOW(det-clock): measurement-mode billing — host time is
-  // read once around the charged work and converted to virtual time;
-  // deterministic runs use charge_scale()=0 or the analytic cost model.
-  WallTimer timer;
-  const Time begin = now();
-  work();
-  const double elapsed = timer.seconds();
-  advance(elapsed * scale * engine_->charge_scale());
-  if (engine_->charge_observer_) {
-    engine_->charge_observer_(index_, begin, now());
-  }
-  return elapsed;
-}
 
 // ----------------------------------------------------------------- Engine
 

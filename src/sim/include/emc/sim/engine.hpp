@@ -8,9 +8,9 @@
 //   * deterministic virtual-time semantics independent of host core
 //     count (the build host may have a single core; the simulated
 //     cluster can have hundreds), and
-//   * clean wall-clock measurement: `Process::charge` times a closure
-//     on the host and bills that duration to the virtual clock without
-//     interference from other simulated ranks.
+//   * clean wall-clock measurement: a closure timed on the host (see
+//     mpi::Comm::charge) runs without interference from other
+//     simulated ranks.
 //
 // The model is sequential DES with fibers as continuations — the same
 // execution style SimGrid's SMPI uses for its actor contexts.
@@ -76,8 +76,6 @@ class Waitable {
   Waitable(const Waitable&) = delete;
   Waitable& operator=(const Waitable&) = delete;
 
-  [[nodiscard]] bool has_waiters() const noexcept { return !waiters_.empty(); }
-
  private:
   friend class Engine;
   std::vector<Process*> waiters_;
@@ -110,18 +108,9 @@ class Process {
   void notify_one(Waitable& w);
   void notify_all(Waitable& w);
 
-  /// Runs @p work on the host, measures its wall-clock duration, and
-  /// advances the virtual clock by duration * scale *
-  /// engine.charge_scale(). Returns the measured seconds. Only one
-  /// process runs at a time, so the measurement is uncontended.
-  double charge(const std::function<void()>& work, double scale = 1.0);
-
   /// Yields without consuming time (reschedules at `now`); lets other
   /// processes scheduled at the same instant run. Rarely needed.
   void yield();
-
-  /// The engine's global charge multiplier (see Engine::set_charge_scale).
-  [[nodiscard]] double charge_scale() const noexcept;
 
  private:
   friend class Engine;
@@ -170,12 +159,6 @@ class Engine {
     return seq_;
   }
 
-  /// Global multiplier applied to Process::charge measurements. Used
-  /// to calibrate the simulated CPU speed against the host (e.g. to
-  /// model the paper's Xeon on a slower build machine). Default 1.
-  void set_charge_scale(double scale) noexcept { charge_scale_ = scale; }
-  [[nodiscard]] double charge_scale() const noexcept { return charge_scale_; }
-
   /// Perturbs the tie-break order of events scheduled at the same
   /// virtual time: 0 (default) keeps FIFO scheduling order; any other
   /// value orders same-time events by a seeded bijective mix of the
@@ -188,17 +171,6 @@ class Engine {
   }
   [[nodiscard]] std::uint64_t tiebreak_salt() const noexcept {
     return tiebreak_salt_;
-  }
-
-  /// Installs an observer invoked after every Process::charge bills
-  /// the virtual clock, with (process index, virtual begin, virtual
-  /// end) of the billed interval. Observation only: runs inside the
-  /// charging process after the advance completed and must not
-  /// call back into the scheduling API. Used by the tracing layer to
-  /// attribute charged compute/crypto time; pass an empty function to
-  /// uninstall. Set it before run().
-  void set_charge_observer(std::function<void(int, Time, Time)> observer) {
-    charge_observer_ = std::move(observer);
   }
 
   /// Installs a callback invoked when the engine detects a global
@@ -219,9 +191,6 @@ class Engine {
   /// times persist across runs until overwritten.
   void set_kill_time(int index, Time at) {
     procs_.at(static_cast<std::size_t>(index))->kill_at_ = at;
-  }
-  [[nodiscard]] Time kill_time(int index) const {
-    return procs_.at(static_cast<std::size_t>(index))->kill_at_;
   }
 
   /// True once the current run began tearing down after an error or
@@ -263,10 +232,8 @@ class Engine {
   std::uint64_t seq_ = 0;
   int unfinished_ = 0;
   bool aborted_ = false;
-  double charge_scale_ = 1.0;
   std::uint64_t tiebreak_salt_ = 0;
   std::function<std::string()> deadlock_explainer_;
-  std::function<void(int, Time, Time)> charge_observer_;
   std::exception_ptr first_error_;
 };
 

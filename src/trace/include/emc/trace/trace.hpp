@@ -52,7 +52,7 @@ enum class Category : std::uint8_t {
   kSyncWait,           ///< blocked until a matching peer operation
   kArqRetransmit,      ///< reliability-layer backoff + retransmission
   kCopy,               ///< CPU message handling: overheads + copies
-  kCompute,            ///< application compute (Process::charge)
+  kCompute,            ///< measured host compute (mpi::Comm::charge)
   kRelayForward,       ///< store-and-forward through route relay hops
   kCryptoHelper,       ///< per-chunk seal/open on a helper crypto core
                        ///< (concurrent lane; `peer` holds the core id)
@@ -105,19 +105,6 @@ class TraceRecorder {
   void record(int rank, Category category, double begin, double end,
               int peer = -1, std::uint64_t bytes = 0) noexcept;
 
-  /// One-shot category override for the next engine charge observed
-  /// on @p rank (see mpi::World: Process::charge spans default to
-  /// kCompute; SecureComm retags its seal/open charges).
-  void set_charge_category(int rank, Category category) noexcept {
-    ranks_[checked(rank)].next_charge = category;
-  }
-  [[nodiscard]] Category take_charge_category(int rank) noexcept {
-    Rank& r = ranks_[checked(rank)];
-    const Category c = r.next_charge;
-    r.next_charge = Category::kCompute;
-    return c;
-  }
-
   /// Marks the start of the traced run window (virtual time). Called
   /// by World::run; re-running a world moves the window, so the
   /// summary always describes the most recent run.
@@ -162,7 +149,6 @@ class TraceRecorder {
     std::uint64_t count = 0;   ///< spans ever recorded
     std::array<double, kNumCategories> seconds{};
     double end_time = 0.0;
-    Category next_charge = Category::kCompute;
   };
 
   [[nodiscard]] std::size_t checked(int rank) const;

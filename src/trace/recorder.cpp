@@ -74,7 +74,6 @@ void TraceRecorder::begin_run(double at) noexcept {
   for (Rank& r : ranks_) {
     r.seconds = {};
     r.end_time = at;
-    r.next_charge = Category::kCompute;
   }
 }
 

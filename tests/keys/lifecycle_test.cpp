@@ -38,7 +38,7 @@ secure::SecureConfig keyring_config(std::shared_ptr<LinkKeyring> ring,
                                     std::uint64_t seal_budget) {
   secure::SecureConfig sc;
   sc.nonce_mode = secure::NonceMode::kCounter;
-  sc.charge_crypto = false;
+  sc.cost_model = secure::CryptoCostModel{};
   sc.nonce_rekey_threshold = seal_budget;
   sc.keyring = std::move(ring);
   return sc;
@@ -321,7 +321,7 @@ TEST(KeyLifecycle, LkhShrinkRekeysInLogFanOut) {
 
     secure::SecureConfig sc;
     sc.nonce_mode = secure::NonceMode::kCounter;
-    sc.charge_crypto = false;
+    sc.cost_model = secure::CryptoCostModel{};
     rr.end_time = mpi::run_world(
         crashing_world(4, 2, 2e-4), [&](Comm& comm) {
           const int me = comm.rank();

@@ -300,10 +300,49 @@ TEST(P2p, EagerThresholdBoundary) {
   EXPECT_LT(at_threshold, above_threshold / 2);
 }
 
+TEST(CommCharge, BillsMeasuredTime) {
+  WorldConfig config = small_world(1, 1);
+  config.cpu_scale = 1.0;
+  run_world(config, [](Comm& comm) {
+    const double before = comm.now();
+    const double measured = comm.charge([] {
+      volatile double x = 0;
+      for (int i = 0; i < 100000; ++i) x = x + i;
+    });
+    EXPECT_GT(measured, 0.0);
+    EXPECT_DOUBLE_EQ(comm.now(), before + measured);
+  });
+}
+
+TEST(CommCharge, CpuScaleCalibratesVirtualCost) {
+  WorldConfig config = small_world(1, 1);
+  config.cpu_scale = 0.5;
+  config.trace = std::make_shared<trace::TraceRecorder>(trace::Config{}, 1);
+  double measured = 0.0;
+  run_world(config, [&](Comm& comm) {
+    measured = comm.charge(
+        [] {
+          volatile double x = 0;
+          for (int i = 0; i < 200000; ++i) x = x + i;
+        },
+        trace::Category::kKeyMgmt);
+    // Virtual cost is half the measured host cost; the return value is
+    // the host seconds.
+    EXPECT_NEAR(comm.now(), 0.5 * measured, 1e-12);
+  });
+  const std::vector<trace::Event> events = config.trace->events(0);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].category, trace::Category::kKeyMgmt);
+  EXPECT_DOUBLE_EQ(events[0].begin, 0.0);
+  EXPECT_NEAR(events[0].end, 0.5 * measured, 1e-12);
+  EXPECT_EQ(events[0].peer, -1);
+  EXPECT_EQ(events[0].bytes, 0u);
+}
+
 TEST(P2p, CpuScaleShrinksChargedWork) {
   WorldConfig config = small_world(1, 1);
   const auto body = [](Comm& comm) {
-    comm.process().charge([] {
+    comm.charge([] {
       volatile double x = 0;
       for (int i = 0; i < 500000; ++i) x = x + i;
     });

@@ -24,7 +24,7 @@ double residual_with_ranks(Kernel kernel, int nodes, int rpn) {
   double residual = 0.0;
   mpi::run_world(world_of(nodes, rpn), [&](mpi::Comm& comm) {
     const KernelResult result =
-        run_kernel(kernel, comm, comm.process(), ProblemClass::kS);
+        run_kernel(kernel, comm, comm, ProblemClass::kS);
     EXPECT_TRUE(result.verified) << kernel_name(kernel);
     if (comm.rank() == 0) residual = result.residual;
   });
@@ -60,7 +60,7 @@ TEST(PartitionConsistency, IsSortsIdenticallyEverywhere) {
   // it at an irregular rank count for the ragged-bucket path.
   mpi::run_world(world_of(5, 1), [](mpi::Comm& comm) {
     const KernelResult result =
-        run_is(comm, comm.process(), ProblemClass::kS);
+        run_is(comm, comm, ProblemClass::kS);
     EXPECT_TRUE(result.verified);
   });
 }
@@ -70,10 +70,10 @@ TEST(PartitionConsistency, AdiDirectSolveExactEverywhere) {
   // construction); check it stays at round-off for several partitions.
   for (int nodes : {1, 2, 4}) {
     mpi::run_world(world_of(nodes, 2), [](mpi::Comm& comm) {
-      const KernelResult bt = run_bt(comm, comm.process(), ProblemClass::kS);
+      const KernelResult bt = run_bt(comm, comm, ProblemClass::kS);
       EXPECT_TRUE(bt.verified);
       EXPECT_LT(bt.residual, 1e-9);
-      const KernelResult sp = run_sp(comm, comm.process(), ProblemClass::kS);
+      const KernelResult sp = run_sp(comm, comm, ProblemClass::kS);
       EXPECT_TRUE(sp.verified);
       EXPECT_LT(sp.residual, 1e-9);
     });

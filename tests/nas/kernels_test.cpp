@@ -31,7 +31,7 @@ TEST_P(NasKernelTest, VerifiesOnPlainComm) {
   mpi::run_world(world_of(param.nodes, param.ranks_per_node),
                  [&](mpi::Comm& comm) {
                    const KernelResult result = run_kernel(
-                       param.kernel, comm, comm.process(), ProblemClass::kS);
+                       param.kernel, comm, comm, ProblemClass::kS);
                    EXPECT_TRUE(result.verified)
                        << result.name << " residual " << result.residual
                        << " on " << comm.size() << " ranks";
@@ -49,7 +49,7 @@ TEST_P(NasKernelTest, VerifiesOnSecureComm) {
       world_of(param.nodes, param.ranks_per_node), secure_config,
       [&](secure::SecureComm& comm) {
         const KernelResult result = run_kernel(
-            param.kernel, comm, comm.plain().process(), ProblemClass::kS);
+            param.kernel, comm, comm.plain(), ProblemClass::kS);
         EXPECT_TRUE(result.verified)
             << result.name << " residual " << result.residual;
       });
@@ -88,14 +88,14 @@ TEST(NasEncryption, SecureRunIsSlowerInVirtualTime) {
   // Encryption must add measurable virtual time to a comm-heavy kernel.
   const auto config = world_of(2, 2);
   const double plain = mpi::run_world(config, [](mpi::Comm& comm) {
-    (void)run_ft(comm, comm.process(), ProblemClass::kS);
+    (void)run_ft(comm, comm, ProblemClass::kS);
   });
 
   secure::SecureConfig slow;
   slow.provider = "cryptopp-sim";  // slowest tier: visible overhead
   const double encrypted =
       secure::run_secure_world(config, slow, [](secure::SecureComm& comm) {
-        (void)run_ft(comm, comm.plain().process(), ProblemClass::kS);
+        (void)run_ft(comm, comm.plain(), ProblemClass::kS);
       });
   EXPECT_GT(encrypted, plain);
 }

@@ -55,8 +55,6 @@ TEST(ReliableConfig, ValidatesKnobs) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = Config{.enabled = true, .jitter = 1.0};
   EXPECT_THROW(config.validate(), std::invalid_argument);
-  config = Config{.enabled = true, .ctrl_bytes = 0};
-  EXPECT_THROW(config.validate(), std::invalid_argument);
   // A disabled config never validates its knobs (it is inert).
   config = Config{.enabled = false, .max_retries = 0};
   EXPECT_NO_THROW(config.validate());
@@ -273,7 +271,7 @@ TEST(ReliableSecure, AuthFailureBecomesNackAndRetransmitNotThrow) {
   World world(config);
   world.run([](Comm& comm) {
     secure::SecureConfig sc;
-    sc.charge_crypto = false;
+    sc.cost_model = secure::CryptoCostModel{};
     secure::SecureComm secure(comm, sc);
     if (comm.rank() == 0) {
       secure.send(bytes_of("recovered end to end"), 1, 2);
@@ -300,7 +298,7 @@ TEST(ReliableSecure, RendezvousAuthFailureAlsoRecovers) {
   World world(config);
   world.run([&](Comm& comm) {
     secure::SecureConfig sc;
-    sc.charge_crypto = false;
+    sc.cost_model = secure::CryptoCostModel{};
     secure::SecureComm secure(comm, sc);
     if (comm.rank() == 0) {
       secure.send(Bytes(n, 0x3C), 1, 2);
@@ -324,7 +322,7 @@ TEST(ReliableSecure, AttackerInjectionStillThrowsIntegrityError) {
   World world(config);
   world.run([](Comm& comm) {
     secure::SecureConfig sc;
-    sc.charge_crypto = false;
+    sc.cost_model = secure::CryptoCostModel{};
     secure::SecureComm secure(comm, sc);
     if (comm.rank() == 0) {
       comm.send(Bytes(secure::SecureComm::wire_size(8), 0xEE), 1, 3);

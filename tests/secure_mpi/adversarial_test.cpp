@@ -28,7 +28,7 @@ WorldConfig world_of(int nodes, int rpn) {
 
 SecureConfig plain_crypto() {
   SecureConfig config;
-  config.charge_crypto = false;
+  config.cost_model = CryptoCostModel{};
   return config;
 }
 
@@ -353,7 +353,7 @@ TEST(AdversarialWire, SeededCampaignIsDeterministic) {
     Outcome out;
     out.end = world.run([&](Comm& comm) {
       SecureConfig sc;
-      sc.charge_crypto = false;
+      sc.cost_model = CryptoCostModel{};
       sc.bind_context = true;
       sc.replay_window = 8;
       SecureComm secure(comm, sc);

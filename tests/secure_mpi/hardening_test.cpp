@@ -28,7 +28,7 @@ TEST(SecureHardening, CounterNoncesNeverCollideAcrossRanks) {
   SecureConfig config;
   config.provider = "libsodium-sim";
   config.nonce_mode = NonceMode::kCounter;
-  config.charge_crypto = false;
+  config.cost_model = CryptoCostModel{};
 
   std::set<Bytes> nonces;
   run_secure_world(world_of(3, 1), config, [&](SecureComm& comm) {
@@ -53,7 +53,7 @@ TEST(SecureHardening, Aes128KeysWorkEndToEnd) {
   SecureConfig config;
   config.provider = "boringssl-sim";
   config.key = crypto::demo_key(16);
-  config.charge_crypto = false;
+  config.cost_model = CryptoCostModel{};
   run_secure_world(world_of(2, 1), config, [](SecureComm& comm) {
     Bytes data = comm.rank() == 0 ? bytes_of("short key") : Bytes(9);
     comm.bcast(data, 0);
@@ -68,7 +68,7 @@ TEST(SecureHardening, MismatchedKeysCannotTalk) {
       mpi::run_world(world_of(2, 1),
                      [](Comm& comm) {
                        SecureConfig config;
-                       config.charge_crypto = false;
+                       config.cost_model = CryptoCostModel{};
                        config.key = crypto::demo_key(32);
                        if (comm.rank() == 1) config.key[0] ^= 0x01;
                        SecureComm secure(comm, config);
@@ -90,7 +90,7 @@ TEST(SecureHardening, TamperedAllgatherBlockIsRejected) {
           world_of(2, 1),
           [](Comm& comm) {
             SecureConfig config;
-            config.charge_crypto = false;
+            config.cost_model = CryptoCostModel{};
             SecureComm secure(comm, config);
             const std::size_t block = 64;
             const std::size_t wire_block = SecureComm::wire_size(block);
@@ -112,7 +112,7 @@ TEST(SecureHardening, GatherRootChecksItsBufferBeforeSealing) {
   // A root with a wrong-sized receive buffer fails before spending any
   // crypto on its own block, like every other secure collective.
   SecureConfig config;
-  config.charge_crypto = false;
+  config.cost_model = CryptoCostModel{};
   run_secure_world(world_of(2, 1), config, [](SecureComm& comm) {
     const Bytes block(64, 0x01);
     if (comm.rank() == 0) {
@@ -127,7 +127,7 @@ TEST(SecureHardening, GatherRootChecksItsBufferBeforeSealing) {
 
 TEST(SecureHardening, StatusReportsPlaintextSizesWithWildcards) {
   SecureConfig config;
-  config.charge_crypto = false;
+  config.cost_model = CryptoCostModel{};
   run_secure_world(world_of(3, 1), config, [](SecureComm& comm) {
     if (comm.rank() == 0) {
       std::size_t total = 0;

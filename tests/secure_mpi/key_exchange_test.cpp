@@ -73,7 +73,7 @@ TEST(KeyExchange, EstablishedKeyDrivesSecureComm) {
     SecureConfig config;
     config.provider = "libsodium-sim";  // 256-bit key: matches key_bytes
     config.key = session_key;
-    config.charge_crypto = false;
+    config.cost_model = CryptoCostModel{};
     SecureComm secure(comm, config);
 
     Bytes data = comm.rank() == 0 ? bytes_of("distributed-key payload!")

@@ -41,10 +41,10 @@ net::FaultPlan nth_fault(net::FaultKind kind, std::uint64_t nth) {
 }
 
 /// Functional-mode pipeline config: tiny chunks so a few KiB spans
-/// several, no virtual-time billing (no cost model needed).
+/// several, no virtual-time billing (the zero cost model).
 SecureConfig piped(std::size_t chunk = 1024, int cores = 2) {
   SecureConfig config;
-  config.charge_crypto = false;
+  config.cost_model = CryptoCostModel{};
   config.nonce_mode = NonceMode::kCounter;
   config.pipeline.enabled = true;
   config.pipeline.chunk_bytes = chunk;
@@ -57,7 +57,6 @@ SecureConfig piped(std::size_t chunk = 1024, int cores = 2) {
 /// helper cores have a cost to hide behind the wire.
 SecureConfig piped_timed(std::size_t chunk, int cores) {
   SecureConfig config = piped(chunk, cores);
-  config.charge_crypto = true;
   config.cost_model = CryptoCostModel{
       .seal_per_op = 0.3e-6,
       .seal_per_byte = 1.0 / (2.0 * 1381e6),
@@ -96,9 +95,9 @@ TEST(PipelineConfig, ConstructorValidatesKnobs) {
     }
     {
       // Wall-clock billing cannot reach helper cores: the pipeline
-      // demands an analytic cost model while charge_crypto is on.
+      // demands an analytic cost model.
       SecureConfig bad = piped();
-      bad.charge_crypto = true;
+      bad.cost_model.reset();
       EXPECT_THROW(SecureComm(comm, bad), std::invalid_argument);
     }
     EXPECT_NO_THROW(SecureComm(comm, piped()));

@@ -24,7 +24,7 @@ WorldConfig relayed_world() {
 
 SecureConfig secure_with_trust(RelayTrust trust) {
   SecureConfig config;
-  config.charge_crypto = false;
+  config.cost_model = CryptoCostModel{};
   config.relay_trust = trust;
   return config;
 }
@@ -170,7 +170,6 @@ TEST(RelayTrust, HopTrustedPaysThePerRelayCryptoSurcharge) {
   const auto campaign = [](RelayTrust trust) {
     SecureConfig sc;
     sc.relay_trust = trust;
-    sc.charge_crypto = true;
     CryptoCostModel model;
     model.seal_per_op = 2e-6;
     model.seal_per_byte = 1e-9;

@@ -27,7 +27,7 @@ WorldConfig world_of(int nodes, int ranks_per_node,
 SecureConfig secure_with(const std::string& provider) {
   SecureConfig config;
   config.provider = provider;
-  config.charge_crypto = false;  // functional tests: determinism first
+  config.cost_model = CryptoCostModel{};  // functional tests: determinism first
   return config;
 }
 
@@ -411,7 +411,7 @@ TEST(SecureTiming, ChargedCryptoAdvancesVirtualClock) {
   WorldConfig world = world_of(2, 1);
   SecureConfig uncharged = secure_with("cryptopp-sim");
   SecureConfig charged = secure_with("cryptopp-sim");
-  charged.charge_crypto = true;
+  charged.cost_model.reset();  // measured billing
 
   auto body = [](SecureComm& comm) {
     const Bytes msg(1 << 18, 0x3c);
@@ -429,6 +429,54 @@ TEST(SecureTiming, ChargedCryptoAdvancesVirtualClock) {
   const double t_plain = run_secure_world(world, uncharged, body);
   const double t_crypto = run_secure_world(world, charged, body);
   EXPECT_GT(t_crypto, t_plain);
+}
+
+TEST(SecureTiming, ZeroCostModelBillsNothing) {
+  // CryptoCostModel{} makes crypto free: no virtual time and no
+  // crypto_* span, helper cores included. Its timeline is that of
+  // measured billing on an infinitely fast simulated CPU.
+  auto body = [](SecureComm& comm) {
+    const Bytes msg(8 * 1024, 0x3c);
+    Bytes buf(msg.size());
+    for (int i = 0; i < 3; ++i) {
+      if (comm.rank() == 0) {
+        comm.send(msg, 1, 0);
+        comm.recv(buf, 1, 0);
+      } else {
+        comm.recv(buf, 0, 0);
+        comm.send(msg, 0, 0);
+      }
+    }
+  };
+  // Returns the end time and the number of crypto_* spans of a traced run.
+  const auto traced_run = [&](const SecureConfig& config, double cpu_scale) {
+    WorldConfig world = world_of(2, 1);
+    world.cpu_scale = cpu_scale;
+    world.trace = std::make_shared<trace::TraceRecorder>(trace::Config{}, 2);
+    const double end = run_secure_world(world, config, body);
+    int spans = 0;
+    for (int rank = 0; rank < 2; ++rank) {
+      for (const trace::Event& e : world.trace->events(rank)) {
+        spans += std::string(trace::category_name(e.category))
+                     .starts_with("crypto_");
+      }
+    }
+    return std::pair{end, spans};
+  };
+  const SecureConfig free_crypto = secure_with("boringssl-sim");
+  SecureConfig piped = free_crypto;
+  piped.pipeline = {.enabled = true, .chunk_bytes = 1024, .helper_cores = 2,
+                    .min_bytes = 1024};
+  SecureConfig measured = free_crypto;
+  measured.cost_model.reset();
+
+  const auto [t_free, free_spans] = traced_run(free_crypto, 1.0);
+  EXPECT_EQ(free_spans, 0);
+  EXPECT_EQ(traced_run(piped, 1.0).second, 0);
+  const auto [t_measured, measured_spans] = traced_run(measured, 0.0);
+  EXPECT_DOUBLE_EQ(t_measured, t_free);
+  // Measured billing still records its (zero-length) crypto spans.
+  EXPECT_GT(measured_spans, 0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Discrete-event engine semantics: virtual-clock ordering,
-// determinism, waitable hand-off, charge accounting, error paths.
+// determinism, waitable hand-off, error paths.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -122,32 +122,6 @@ TEST(Engine, ExceptionInOneProcessPropagates) {
                std::logic_error);
 }
 
-TEST(Engine, ChargeBillsMeasuredTime) {
-  Engine engine(1);
-  engine.run([](Process& p) {
-    const double before = p.now();
-    const double measured = p.charge([] {
-      volatile double x = 0;
-      for (int i = 0; i < 100000; ++i) x = x + i;
-    });
-    EXPECT_GT(measured, 0.0);
-    EXPECT_DOUBLE_EQ(p.now(), before + measured);
-  });
-}
-
-TEST(Engine, ChargeScaleMultiplies) {
-  Engine engine(1);
-  engine.run([](Process& p) {
-    const double measured = p.charge(
-        [] {
-          volatile double x = 0;
-          for (int i = 0; i < 100000; ++i) x = x + i;
-        },
-        2.0);
-    EXPECT_NEAR(p.now(), 2.0 * measured, 1e-12);
-  });
-}
-
 TEST(Engine, RepeatedRunsAccumulateTime) {
   Engine engine(2);
   const Time t1 = engine.run([](Process& p) { p.advance(1.0); });
@@ -182,35 +156,6 @@ TEST(Engine, YieldDoesNotAdvanceClock) {
     EXPECT_DOUBLE_EQ(p.now(), 1.0);
   });
   EXPECT_DOUBLE_EQ(end, 1.0);
-}
-
-TEST(Engine, ChargeScaleCalibratesVirtualCost) {
-  Engine engine(1);
-  engine.set_charge_scale(0.5);
-  EXPECT_DOUBLE_EQ(engine.charge_scale(), 0.5);
-  engine.run([](Process& p) {
-    EXPECT_DOUBLE_EQ(p.charge_scale(), 0.5);
-    const double measured = p.charge([] {
-      volatile double x = 0;
-      for (int i = 0; i < 200000; ++i) x = x + i;
-    });
-    // Virtual cost is half the measured host cost.
-    EXPECT_NEAR(p.now(), 0.5 * measured, 1e-12);
-  });
-}
-
-TEST(Engine, ChargeScaleComposesWithExplicitScale) {
-  Engine engine(1);
-  engine.set_charge_scale(2.0);
-  engine.run([](Process& p) {
-    const double measured = p.charge(
-        [] {
-          volatile double x = 0;
-          for (int i = 0; i < 200000; ++i) x = x + i;
-        },
-        3.0);
-    EXPECT_NEAR(p.now(), 6.0 * measured, 1e-12);
-  });
 }
 
 TEST(Engine, ManyProcessesScale) {

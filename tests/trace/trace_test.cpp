@@ -292,7 +292,7 @@ TEST(TraceCharge, ProcessChargeIsRecordedAsCompute) {
   const auto rec = attach_recorder(config);
   mpi::run_world(config, [](mpi::Comm& c) {
     volatile double sink = 0.0;
-    c.process().charge([&] {
+    c.charge([&] {
       for (int i = 0; i < 200000; ++i) sink = sink + 1.0;
     });
   });

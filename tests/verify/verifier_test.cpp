@@ -352,7 +352,7 @@ TEST(VerifyClean, SecureWorkloadIsDiagnosticFree) {
   secure::SecureConfig sec;
   sec.bind_context = true;
   sec.replay_window = 4;
-  sec.charge_crypto = false;  // timing-independent determinism
+  sec.cost_model = secure::CryptoCostModel{};  // timing-independent determinism
   World world(config);
   world.run([&sec](Comm& comm) {
     secure::SecureComm secure(comm, sec);
